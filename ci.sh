@@ -67,6 +67,8 @@ cov_floor repro/internal/results 75
 cov_floor repro/internal/charz 85
 cov_floor repro/internal/charz/probe 85
 cov_floor repro/internal/telemetry 85
+cov_floor repro/internal/pipeline 90
+cov_floor repro/internal/isa 85
 rm -f "$covfile"
 
 echo "== fuzz smoke =="

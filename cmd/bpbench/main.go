@@ -19,7 +19,7 @@
 //   - serve/feed/<spec> — serve-session throughput (events/s) through
 //     real HTTP: binary P64T batches posted to an in-process server.
 //   - experiments/all — wall-clock milliseconds to regenerate the full
-//     E1–E14 experiment set (skipped with -quick).
+//     E1–E15 experiment set (skipped with -quick).
 //
 // Usage:
 //
@@ -518,7 +518,7 @@ func benchServeMulti(spec sim.Spec, window []trace.Event, minTime time.Duration)
 	}, nil
 }
 
-// benchExperiments times one full regeneration of the E1–E14 experiment
+// benchExperiments times one full regeneration of the E1–E15 experiment
 // set — the end-to-end cost a results refresh pays.
 func benchExperiments() (Result, error) {
 	start := time.Now()

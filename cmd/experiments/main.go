@@ -1,5 +1,5 @@
 // Command experiments regenerates every reconstructed table/figure from
-// the paper (experiments E1–E14, see DESIGN.md) and prints them as text,
+// the paper (experiments E1–E15, see DESIGN.md) and prints them as text,
 // markdown, or CSV. With -store it also appends each experiment's
 // result to the JSONL results store that `bpstats` lists and diffs.
 //

@@ -23,7 +23,8 @@ type PredLiveness struct {
 func instPredUse(in *isa.Inst) uint64 {
 	var m uint64
 	m |= 1 << in.QP
-	for _, p := range in.PredSources() {
+	srcs, n := in.PredSources()
+	for _, p := range srcs[:n] {
 		m |= 1 << p
 	}
 	if in.Op == isa.OpCmp && (in.CT == isa.CmpAnd || in.CT == isa.CmpOr) {

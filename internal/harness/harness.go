@@ -1,4 +1,4 @@
-// Package harness defines the reproduction experiments E1–E14: for every
+// Package harness defines the reproduction experiments E1–E15: for every
 // table and figure reconstructed from the paper (see DESIGN.md), one
 // experiment that regenerates it from this repository's workloads,
 // if-converter, predictors and timing model.

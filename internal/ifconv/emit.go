@@ -117,13 +117,15 @@ func canHoistPast(i, c *isa.Inst) bool {
 	}
 	// RAW on register sources.
 	if d, ok := i.RegDest(); ok {
-		for _, s := range c.RegSources() {
+		srcs, n := c.RegSources()
+		for _, s := range srcs[:n] {
 			if s == d {
 				return false
 			}
 		}
 	}
-	for _, pd := range i.PredDests() {
+	dsts, n := i.PredDests()
+	for _, pd := range dsts[:n] {
 		// Write to the compare's guard.
 		if pd == c.QP {
 			return false
@@ -134,8 +136,11 @@ func canHoistPast(i, c *isa.Inst) bool {
 		}
 	}
 	// WAR: i reads a predicate the compare writes.
-	reads := append([]isa.PReg{i.QP}, i.PredSources()...)
-	for _, pr := range reads {
+	if i.QP == c.PD1 || i.QP == c.PD2 {
+		return false
+	}
+	srcs, n := i.PredSources()
+	for _, pr := range srcs[:n] {
 		if pr == c.PD1 || pr == c.PD2 {
 			return false
 		}
@@ -219,7 +224,8 @@ func regionReadsPred(g *prog.CFG, r *region, pr isa.PReg, branchIdx int) bool {
 			if in.QP == pr {
 				return true
 			}
-			for _, ps := range in.PredSources() {
+			srcs, n := in.PredSources()
+			for _, ps := range srcs[:n] {
 				if ps == pr {
 					return true
 				}

@@ -123,7 +123,8 @@ func findDefCmp(p *prog.Program, b *prog.Block, q isa.PReg) int {
 	for i := t - 1; i >= b.Start; i-- {
 		in := &p.Insts[i]
 		writes := false
-		for _, d := range in.PredDests() {
+		dsts, n := in.PredDests()
+		for _, d := range dsts[:n] {
 			if d == q {
 				writes = true
 			}
@@ -369,7 +370,8 @@ func (s *selector) check(r *region) string {
 	for b := range r.blocks {
 		blk := s.g.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			for _, d := range p.Insts[i].PredDests() {
+			dsts, n := p.Insts[i].PredDests()
+			for _, d := range dsts[:n] {
 				clobber |= 1 << d
 			}
 		}

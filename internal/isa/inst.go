@@ -79,27 +79,33 @@ func (in *Inst) IsPredDef() bool {
 	return false
 }
 
-// PredDests returns the predicate registers the instruction may write.
-func (in *Inst) PredDests() []PReg {
+// The operand helpers below return their registers in a fixed-size array
+// plus a count: the used entries are the first n. The timing model queries
+// operands for every simulated instruction, and a returned slice would put
+// a heap allocation on that path.
+
+// PredDests returns the predicate registers the instruction may write, as
+// the first n entries of dsts.
+func (in *Inst) PredDests() (dsts [2]PReg, n int) {
 	switch in.Op {
 	case OpCmp:
-		return []PReg{in.PD1, in.PD2}
+		return [2]PReg{in.PD1, in.PD2}, 2
 	case OpPand, OpPor, OpPmov, OpPinit:
-		return []PReg{in.PD1}
+		return [2]PReg{in.PD1}, 1
 	}
-	return nil
+	return dsts, 0
 }
 
 // PredSources returns the predicate registers the instruction reads, not
-// counting the qualifying predicate.
-func (in *Inst) PredSources() []PReg {
+// counting the qualifying predicate, as the first n entries of srcs.
+func (in *Inst) PredSources() (srcs [2]PReg, n int) {
 	switch in.Op {
 	case OpPand, OpPor:
-		return []PReg{in.PS1, in.PS2}
+		return [2]PReg{in.PS1, in.PS2}, 2
 	case OpPmov:
-		return []PReg{in.PS1}
+		return [2]PReg{in.PS1}, 1
 	}
-	return nil
+	return srcs, 0
 }
 
 // RegDest returns the general register written by the instruction and
@@ -115,33 +121,23 @@ func (in *Inst) RegDest() (Reg, bool) {
 	return 0, false
 }
 
-// RegSources returns the general registers the instruction reads.
-func (in *Inst) RegSources() []Reg {
+// RegSources returns the general registers the instruction reads, as the
+// first n entries of srcs.
+func (in *Inst) RegSources() (srcs [2]Reg, n int) {
 	switch in.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar, OpMul, OpDiv, OpMod:
+	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar, OpMul, OpDiv, OpMod, OpCmp:
 		if in.HasImm {
-			return []Reg{in.Src1}
+			return [2]Reg{in.Src1}, 1
 		}
-		return []Reg{in.Src1, in.Src2}
-	case OpMov:
-		return []Reg{in.Src1}
-	case OpCmp:
-		if in.HasImm {
-			return []Reg{in.Src1}
-		}
-		return []Reg{in.Src1, in.Src2}
-	case OpLd:
-		return []Reg{in.Src1}
+		return [2]Reg{in.Src1, in.Src2}, 2
+	case OpMov, OpLd, OpBrr, OpOut:
+		return [2]Reg{in.Src1}, 1
 	case OpSt:
-		return []Reg{in.Src1, in.Src2}
-	case OpBrr:
-		return []Reg{in.Src1}
+		return [2]Reg{in.Src1, in.Src2}, 2
 	case OpCloop:
-		return []Reg{in.Dst}
-	case OpOut:
-		return []Reg{in.Src1}
+		return [2]Reg{in.Dst}, 1
 	}
-	return nil
+	return srcs, 0
 }
 
 // Validate checks structural well-formedness: opcode and field ranges. It
@@ -171,17 +167,20 @@ func (in *Inst) Validate() error {
 			return err
 		}
 	}
-	for _, r := range in.RegSources() {
+	srcs, n := in.RegSources()
+	for _, r := range srcs[:n] {
 		if err := check(r, "source"); err != nil {
 			return err
 		}
 	}
-	for _, p := range in.PredDests() {
+	pdsts, n := in.PredDests()
+	for _, p := range pdsts[:n] {
 		if err := checkP(p, "destination"); err != nil {
 			return err
 		}
 	}
-	for _, p := range in.PredSources() {
+	psrcs, n := in.PredSources()
+	for _, p := range psrcs[:n] {
 		if err := checkP(p, "source"); err != nil {
 			return err
 		}

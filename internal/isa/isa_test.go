@@ -111,27 +111,57 @@ func TestInstClassifiers(t *testing.T) {
 	if !cmp.IsPredDef() {
 		t.Error("cmp not a predicate define")
 	}
-	if got := cmp.PredDests(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("cmp PredDests = %v", got)
+	if got, n := cmp.PredDests(); n != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("cmp PredDests = %v, %d", got, n)
 	}
 	pand := Inst{Op: OpPand, PD1: 3, PS1: 1, PS2: 2}
-	if got := pand.PredSources(); len(got) != 2 {
-		t.Errorf("pand PredSources = %v", got)
+	if got, n := pand.PredSources(); n != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("pand PredSources = %v, %d", got, n)
 	}
 	add := Inst{Op: OpAdd, Dst: 5, Src1: 1, Src2: 2}
 	if d, ok := add.RegDest(); !ok || d != 5 {
 		t.Errorf("add RegDest = %v, %v", d, ok)
 	}
-	if got := add.RegSources(); len(got) != 2 {
-		t.Errorf("add RegSources = %v", got)
+	if got, n := add.RegSources(); n != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("add RegSources = %v, %d", got, n)
 	}
 	addi := Inst{Op: OpAdd, Dst: 5, Src1: 1, Imm: 3, HasImm: true}
-	if got := addi.RegSources(); len(got) != 1 {
-		t.Errorf("addi RegSources = %v", got)
+	if got, n := addi.RegSources(); n != 1 || got[0] != 1 {
+		t.Errorf("addi RegSources = %v, %d", got, n)
 	}
 	st := Inst{Op: OpSt, Src1: 1, Src2: 2}
 	if _, ok := st.RegDest(); ok {
 		t.Error("st should have no register destination")
+	}
+}
+
+// TestOperandHelpersDoNotAllocate pins the operand helpers at zero heap
+// allocations for every opcode, register and immediate form: the timing
+// model calls them once per simulated instruction.
+func TestOperandHelpersDoNotAllocate(t *testing.T) {
+	var insts []Inst
+	for op := OpNop; op < opMax; op++ {
+		insts = append(insts,
+			Inst{Op: op, Dst: 1, Src1: 2, Src2: 3, PD1: 1, PD2: 2, PS1: 3, PS2: 4},
+			Inst{Op: op, Dst: 1, Src1: 2, Imm: 5, HasImm: true, PD1: 1, PS1: 3})
+	}
+	var sum int
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range insts {
+			in := &insts[i]
+			srcs, n := in.RegSources()
+			sum += int(srcs[0]) + n
+			pd, n := in.PredDests()
+			sum += int(pd[1]) + n
+			ps, n := in.PredSources()
+			sum += int(ps[1]) + n
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("operand helpers allocate %v times per pass over %d instructions", allocs, len(insts))
+	}
+	if sum == 0 {
+		t.Error("operand helpers reported no operands")
 	}
 }
 

@@ -145,10 +145,14 @@ func latency(op isa.Op) uint64 {
 	}
 }
 
+// pendingResolve is one in-flight predicate define. A define writes at
+// most two predicates (a compare's PD1 and PD2), so the pairs live in
+// fixed arrays and queueing a define allocates nothing.
 type pendingResolve struct {
 	at    uint64 // cycle at which the values become fetch-visible
-	preds []isa.PReg
-	vals  []bool
+	n     int    // used entries of preds and vals
+	preds [2]isa.PReg
+	vals  [2]bool
 	// pgu carries the define outcome bit when the policy selects it.
 	pgu    bool
 	pguBit bool
@@ -183,13 +187,24 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 	var st Stats
 	sfpf := core.NewSFPF()
 	obs, _ := cfg.Predictor.(bpred.HistoryObserver)
+	// A fused predictor predicts and trains in one step at resolve time.
+	// That is exact: nothing touches the predictor between a branch's
+	// fetch and its resolve, since history bits are only inserted at the
+	// top of the loop.
+	fused, _ := cfg.Predictor.(bpred.Fused)
 
 	var regReady [isa.NumRegs]uint64
 	var cycle uint64
 	slot := 0 // instructions issued in the current cycle
 	width := cfg.IssueWidth
-	var ras []int // return-address stack (bounded by cfg.RASDepth)
-	var pending []pendingResolve
+	ras := make([]int, 0, cfg.RASDepth) // return-address stack
+	// pending[head:] is the resolve queue in issue order. Pops advance
+	// head; a push into a full backing array first compacts the drained
+	// prefix away, so the queue settles on one array for the whole run.
+	// 64 entries exceed the defines one resolve latency holds in flight
+	// at the experiments' widths, so the array rarely grows.
+	pending := make([]pendingResolve, 0, 64)
+	head := 0
 
 	for !m.Halted {
 		if limit > 0 && m.Steps >= limit {
@@ -197,11 +212,10 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 		}
 
 		// Apply resolves that became visible by the current fetch cycle.
-		for len(pending) > 0 && pending[0].at <= cycle {
-			pr := pending[0]
-			pending = pending[1:]
-			for i := range pr.preds {
-				sfpf.Resolve(pr.preds[i], pr.vals[i])
+		for ; head < len(pending) && pending[head].at <= cycle; head++ {
+			pr := &pending[head]
+			for j := range pr.n {
+				sfpf.Resolve(pr.preds[j], pr.vals[j])
 			}
 			if pr.pgu && obs != nil {
 				obs.ObserveBit(pr.pguBit)
@@ -235,18 +249,18 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 			} else {
 				usePredictor = true
 			}
-			if usePredictor {
+			if usePredictor && fused == nil {
 				predicted = cfg.Predictor.Predict(uint64(idx))
 			}
 		}
-		if in.IsPredDef() {
-			sfpf.FetchDef(in.PredDests()...)
-		}
+		pdsts, npd := in.PredDests()
+		sfpf.FetchDef(pdsts[:npd]...)
 
 		// Issue: stall until source operands are ready, then take one of
 		// the cycle's issue slots.
 		ready := cycle
-		for _, r := range in.RegSources() {
+		srcs, nsrc := in.RegSources()
+		for _, r := range srcs[:nsrc] {
 			if regReady[r] > ready {
 				ready = regReady[r]
 			}
@@ -276,14 +290,14 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 		}
 
 		// Schedule predicate resolution for the fetch-stage structures.
-		if in.IsPredDef() {
+		if npd > 0 {
 			pr := pendingResolve{at: issue + cfg.PredResolveLatency}
-			for _, pd := range in.PredDests() {
+			for _, pd := range pdsts[:npd] {
 				if pd == isa.P0 {
 					continue
 				}
-				pr.preds = append(pr.preds, pd)
-				pr.vals = append(pr.vals, m.Preds[pd])
+				pr.preds[pr.n], pr.vals[pr.n] = pd, m.Preds[pd]
+				pr.n++
 			}
 			if in.Op == isa.OpCmp && si.GuardTrue && cfg.PGU != core.PGUOff && obs != nil {
 				mask := uint64(1)<<in.PD1 | uint64(1)<<in.PD2
@@ -299,6 +313,9 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 				if selected {
 					pr.pgu, pr.pguBit = true, si.CmpValue
 				}
+			}
+			if len(pending) == cap(pending) && head > 0 {
+				pending, head = pending[:copy(pending, pending[head:])], 0
 			}
 			pending = append(pending, pr)
 		}
@@ -323,6 +340,11 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 					cfg.Predictor.Update(uint64(idx), si.Taken)
 				}
 			default:
+				if fused != nil {
+					predicted = fused.PredictUpdate(uint64(idx), si.Taken)
+				} else {
+					cfg.Predictor.Update(uint64(idx), si.Taken)
+				}
 				if predicted != si.Taken {
 					st.Mispredicts++
 					if in.Region {
@@ -331,7 +353,6 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 					cycle += cfg.MispredictPenalty
 					slot = 0
 				}
-				cfg.Predictor.Update(uint64(idx), si.Taken)
 			}
 		}
 		// Return-address stack: calls push their return point; indirect

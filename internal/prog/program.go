@@ -115,10 +115,12 @@ func (p *Program) MaxPredUsed() isa.PReg {
 	for i := range p.Insts {
 		in := &p.Insts[i]
 		up(in.QP)
-		for _, d := range in.PredDests() {
+		dsts, n := in.PredDests()
+		for _, d := range dsts[:n] {
 			up(d)
 		}
-		for _, s := range in.PredSources() {
+		srcs, n := in.PredSources()
+		for _, s := range srcs[:n] {
 			up(s)
 		}
 	}

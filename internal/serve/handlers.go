@@ -415,6 +415,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	s.tel.sweeps.Inc()
 	s.tel.sweepEvals.Add(uint64(len(specs)))
+	if s.sweepHold != nil {
+		s.sweepHold(ctx)
+	}
 	rows, err := sim.Map(ctx, specs, s.cfg.SweepWorkers, func(ctx context.Context, sp sim.Spec) (SweepRow, error) {
 		cfg := baseCfg
 		var err error

@@ -27,6 +27,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -144,6 +145,11 @@ type Server struct {
 	mux    *http.ServeMux
 	bucket *tokenBucket
 	log    *log.Logger
+
+	// sweepHold, when set, runs with each sweep's deadline context just
+	// before the fan-out starts. Tests set it to wait for the context,
+	// which makes the deadline path deterministic however fast the sweep.
+	sweepHold func(ctx context.Context)
 }
 
 // h2pTopK is how many hardest branches the aggregate bpservd_h2p_*

@@ -278,9 +278,12 @@ func TestSweepEndpoint(t *testing.T) {
 }
 
 // TestSweepTimeout forces a tiny per-request deadline and expects 504
-// with the timeout error code.
+// with the timeout error code. The fan-out is held until the deadline
+// has passed: a fast sweep could otherwise finish inside it and answer
+// 200.
 func TestSweepTimeout(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
+	ts, s := newTestServer(t, Config{})
+	s.sweepHold = func(ctx context.Context) { <-ctx.Done() }
 	var envelope ErrorBody
 	doJSON(t, "POST", ts.URL+"/v1/sweep",
 		SweepRequest{

@@ -240,7 +240,7 @@ func Assemble(name, src string) (*Program, error) { return asm.Parse(name, src) 
 // Disassemble renders a program as parseable assembly text.
 func Disassemble(p *Program) string { return asm.Format(p) }
 
-// Experiments lists the reconstruction experiments (E1–E14).
+// Experiments lists the reconstruction experiments (E1–E15).
 func Experiments() []Experiment { return harness.All() }
 
 // ExperimentByID looks one up (e.g. "E3").
