@@ -69,6 +69,8 @@ cov_floor repro/internal/charz/probe 85
 cov_floor repro/internal/telemetry 85
 cov_floor repro/internal/pipeline 90
 cov_floor repro/internal/isa 85
+cov_floor repro/internal/trace 88
+cov_floor repro/internal/emu 88
 rm -f "$covfile"
 
 echo "== fuzz smoke =="

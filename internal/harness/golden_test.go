@@ -23,33 +23,17 @@ func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
-	resultsDir := filepath.Join("..", "..", "results")
 	if _, err := os.Stat(resultsDir); err != nil {
 		t.Skipf("no results directory: %v", err)
 	}
 
 	s := testSuite(t)
-	cfg := Config{}.withDefaults()
 	claimed := make(map[string]bool) // file base names experiments generate
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(context.Background(), s, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			r := Result{Experiment: e, Tables: tables}
-			for i, tb := range tables {
-				name := r.TableName(i) + ".csv"
+			for _, name := range checkGolden(t, s, e) {
 				claimed[name] = true
-				got, err := os.ReadFile(filepath.Join(resultsDir, name))
-				if err != nil {
-					t.Errorf("missing file results/%s: experiment output not checked in (%v)", name, err)
-					continue
-				}
-				if string(got) != tb.CSV() {
-					t.Errorf("results/%s differs from regenerated output (intentional? regenerate with `go run ./cmd/experiments -outdir results`)", name)
-				}
 			}
 		})
 	}
@@ -68,4 +52,33 @@ func TestGoldenCSVs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// resultsDir holds the checked-in experiment CSVs.
+var resultsDir = filepath.Join("..", "..", "results")
+
+// checkGolden runs e on s with the default config and diffs each of its
+// tables byte-for-byte against results/; it returns the tables' CSV
+// file names.
+func checkGolden(t *testing.T, s *Suite, e Experiment) []string {
+	t.Helper()
+	tables, err := e.Run(context.Background(), s, Config{}.withDefaults())
+	if err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
+	}
+	r := Result{Experiment: e, Tables: tables}
+	names := make([]string, len(tables))
+	for i, tb := range tables {
+		name := r.TableName(i) + ".csv"
+		names[i] = name
+		got, err := os.ReadFile(filepath.Join(resultsDir, name))
+		if err != nil {
+			t.Errorf("missing file results/%s: experiment output not checked in (%v)", name, err)
+			continue
+		}
+		if string(got) != tb.CSV() {
+			t.Errorf("results/%s differs from regenerated output (intentional? regenerate with `go run ./cmd/experiments -outdir results`)", name)
+		}
+	}
+	return names
 }

@@ -136,12 +136,24 @@ type Suite struct {
 	Entries []*Entry
 	cfg     Config
 
+	mu sync.Mutex // guards extra and cells
 	// extra memoizes entries materialized on demand for workloads
 	// outside the fixed suite — the synthetic charz family a spec can
 	// name without changing suite membership (which the golden CSVs of
 	// the suite-wide experiments pin down).
-	mu    sync.Mutex
-	extra map[string]*Entry
+	extra map[string]*lazyEntry
+	// cells memoizes evaluated grid points by resolved configuration,
+	// so experiments sharing a suite compute each distinct point once.
+	cells map[pointKey]*memoCell
+}
+
+// lazyEntry is one on-demand entry, built at most once.
+type lazyEntry struct {
+	name string // the name it was requested (and is memoized) under
+	w    workload.Workload
+	once sync.Once
+	e    *Entry
+	err  error
 }
 
 // NewSuite builds, converts, and traces every workload; it is the
@@ -182,33 +194,46 @@ func buildEntry(w workload.Workload, cfg Config) (*Entry, error) {
 	return e, nil
 }
 
-// entry resolves a workload name to its prepared entry: a suite member
-// directly, anything else — the synthetic charz family — by building it
-// on first use and memoizing it for the suite's lifetime.
-func (s *Suite) entry(name string) (*Entry, error) {
-	for _, e := range s.Entries {
-		if e.Name == name {
-			return e, nil
-		}
-	}
+// extraEntries resolves workload names outside the fixed suite — the
+// synthetic charz family — to prepared entries, in the order given.
+// Names not prepared yet are built concurrently on the engine's worker
+// pool and memoized for the suite's lifetime; a name no workload
+// answers to fails the call before anything is built or memoized.
+func (s *Suite) extraEntries(ctx context.Context, names []string) ([]*Entry, error) {
+	slots := make([]*lazyEntry, len(names))
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.extra[name]; ok {
-		return e, nil
-	}
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("%s workload missing", name)
-	}
-	e, err := buildEntry(w, s.cfg)
-	if err != nil {
-		return nil, err
+	for i, n := range names {
+		if le, ok := s.extra[n]; ok {
+			slots[i] = le
+			continue
+		}
+		w, err := workload.ByName(n)
+		if err != nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("harness: resolving workload %q: %w", n, err)
+		}
+		slots[i] = &lazyEntry{name: n, w: w}
 	}
 	if s.extra == nil {
-		s.extra = make(map[string]*Entry)
+		s.extra = make(map[string]*lazyEntry)
 	}
-	s.extra[name] = e
-	return e, nil
+	for i, n := range names {
+		s.extra[n] = slots[i]
+	}
+	s.mu.Unlock()
+
+	return sim.Map(ctx, slots, 0, func(_ context.Context, le *lazyEntry) (*Entry, error) {
+		le.once.Do(func() { le.e, le.err = buildEntry(le.w, s.cfg) })
+		if le.err != nil {
+			// Forget the failed build so a later call retries it.
+			s.mu.Lock()
+			if s.extra[le.name] == le {
+				delete(s.extra, le.name)
+			}
+			s.mu.Unlock()
+		}
+		return le.e, le.err
+	})
 }
 
 // Experiment regenerates one reconstructed table/figure.

@@ -13,6 +13,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
@@ -276,16 +277,16 @@ func (sp *Spec) ActiveVariants(cfg Config) []Variant {
 type grid struct {
 	spec    *Spec
 	entries []*Entry
-	cells   map[cellKey]Cell
+	cells   map[gridKey]Cell
 }
 
-type cellKey struct {
+type gridKey struct {
 	entry string
 	key   string
 }
 
 func (g *grid) cell(e *Entry, key string) Cell {
-	c, ok := g.cells[cellKey{e.Name, key}]
+	c, ok := g.cells[gridKey{e.Name, key}]
 	if !ok {
 		panic(fmt.Sprintf("harness: %s: no cell for workload %q, variant %q (column references a variant the spec does not declare, or one trimmed from this run)", g.spec.ID, e.Name, key))
 	}
@@ -296,7 +297,7 @@ func (g *grid) cell(e *Entry, key string) Cell {
 // tables sequentially (deterministic row order regardless of worker
 // scheduling).
 func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, error) {
-	entries, err := sp.selectEntries(s)
+	entries, err := sp.selectEntries(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -320,15 +321,15 @@ func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, 
 		}
 	}
 	cells, err := sim.Map(ctx, jobs, 0, func(_ context.Context, j job) (Cell, error) {
-		return evalCell(j.e, j.v, cfg)
+		return s.cell(j.e, j.v, cfg.Limit)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	g := &grid{spec: sp, entries: entries, cells: make(map[cellKey]Cell, len(cells))}
+	g := &grid{spec: sp, entries: entries, cells: make(map[gridKey]Cell, len(cells))}
 	for _, c := range cells {
-		g.cells[cellKey{c.Entry.Name, c.Variant.Key}] = c
+		g.cells[gridKey{c.Entry.Name, c.Variant.Key}] = c
 	}
 
 	activeGroups := make(map[string]bool, len(variants))
@@ -352,8 +353,9 @@ func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, 
 }
 
 // selectEntries filters the suite to the spec's workloads, keeping suite
-// order.
-func (sp *Spec) selectEntries(s *Suite) ([]*Entry, error) {
+// order; names outside the fixed suite — the synthetic charz family —
+// follow in spec-listed order.
+func (sp *Spec) selectEntries(ctx context.Context, s *Suite) ([]*Entry, error) {
 	if len(sp.Workloads) == 0 {
 		return s.Entries, nil
 	}
@@ -368,20 +370,21 @@ func (sp *Spec) selectEntries(s *Suite) ([]*Entry, error) {
 			delete(want, e.Name)
 		}
 	}
-	// Names outside the fixed suite — the synthetic charz family — are
-	// materialized on demand, in spec-listed order after suite members.
+	var extra []string
 	for _, n := range sp.Workloads {
-		if !want[n] {
-			continue
+		if want[n] {
+			extra = append(extra, n)
+			delete(want, n)
 		}
-		e, err := s.entry(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-		delete(want, n)
 	}
-	return out, nil
+	if len(extra) == 0 {
+		return out, nil
+	}
+	more, err := s.extraEntries(ctx, extra)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, more...), nil
 }
 
 // build shapes one table from the grid.
@@ -449,50 +452,107 @@ func colNames(cols []Col) []string {
 	return names
 }
 
-// evalCell evaluates one grid point: a fresh predictor from the
-// variant's spec, run over the selected artifact of the workload.
-func evalCell(e *Entry, v Variant, cfg Config) (Cell, error) {
-	pred := v.Pred
-	if pred.Kind == "" {
-		pred = defSpec
-	}
-	p, err := pred.New()
-	if err != nil {
-		return Cell{}, fmt.Errorf("variant %q: %w", v.Key, err)
-	}
+// pointKey identifies a grid point by its resolved configuration — what
+// evalCell computes — rather than by the variant naming it. Zero values
+// resolve the way the evaluators resolve them (the default predictor,
+// pipeline.Config.WithDefaults), so variants that spell one point
+// differently, in one experiment or several, share it.
+type pointKey struct {
+	entry *Entry
+	trace TraceKind
+	pred  sim.Spec
+	// timing selects the timing model, configured by pipe and bounded
+	// by limit; otherwise the trace evaluator runs with eval.
+	timing bool
+	eval   core.EvalConfig
+	pipe   pipeline.Config
+	limit  uint64
+}
 
+func resolvePoint(e *Entry, v Variant, limit uint64) pointKey {
+	k := pointKey{entry: e, trace: v.Trace, pred: v.Pred, timing: v.Pipeline}
+	if k.pred.Kind == "" {
+		k.pred = defSpec
+	}
 	if v.Pipeline {
-		prg, err := programFor(e, v.Trace)
-		if err != nil {
-			return Cell{}, err
+		k.pipe = pipeline.Config{
+			UseSFPF:    v.UseSFPF,
+			FilterTrue: v.FilterTrue,
+			PGU:        v.PGU,
+			IssueWidth: v.IssueWidth,
+			RASDepth:   v.RASDepth,
+			NoRAS:      v.NoRAS,
+		}.WithDefaults()
+		k.limit = limit
+	} else {
+		k.eval = core.EvalConfig{
+			UseSFPF:      v.UseSFPF,
+			FilterTrue:   v.FilterTrue,
+			ResolveDelay: v.ResolveDelay,
+			PGU:          v.PGU,
+			PGUDelay:     v.PGUDelay,
 		}
-		pc := pipeline.DefaultConfig(p)
-		pc.UseSFPF = v.UseSFPF
-		pc.FilterTrue = v.FilterTrue
-		pc.PGU = v.PGU
-		pc.IssueWidth = v.IssueWidth
-		pc.RASDepth = v.RASDepth
-		pc.NoRAS = v.NoRAS
-		st, err := pipeline.Run(prg, pc, cfg.Limit)
-		if err != nil {
-			return Cell{}, fmt.Errorf("variant %q on %s: %w", v.Key, e.Name, err)
-		}
-		return Cell{Entry: e, Variant: v, P: st}, nil
 	}
+	return k
+}
 
-	tr, err := traceFor(e, v.Trace)
+// memoCell is one memoized grid point, evaluated at most once.
+type memoCell struct {
+	once sync.Once
+	c    Cell // Entry and Variant are filled in per request
+	err  error
+}
+
+// cell returns variant v's cell on workload e. The point is evaluated on
+// its first request and reused by every later one, from this experiment
+// or any other on the suite; concurrent requests wait for the first.
+func (s *Suite) cell(e *Entry, v Variant, limit uint64) (Cell, error) {
+	k := resolvePoint(e, v, limit)
+	s.mu.Lock()
+	mc, ok := s.cells[k]
+	if !ok {
+		if s.cells == nil {
+			s.cells = make(map[pointKey]*memoCell)
+		}
+		mc = new(memoCell)
+		s.cells[k] = mc
+	}
+	s.mu.Unlock()
+	mc.once.Do(func() { mc.c, mc.err = evalCell(k) })
+	if mc.err != nil {
+		return Cell{}, fmt.Errorf("variant %q on %s: %w", v.Key, e.Name, mc.err)
+	}
+	c := mc.c
+	c.Entry, c.Variant = e, v
+	return c, nil
+}
+
+// evalCell evaluates one resolved grid point: a fresh predictor from its
+// spec, run over the selected artifact of the workload.
+func evalCell(k pointKey) (Cell, error) {
+	p, err := k.pred.New()
 	if err != nil {
 		return Cell{}, err
 	}
-	m := core.Evaluate(tr, core.EvalConfig{
-		Predictor:    p,
-		UseSFPF:      v.UseSFPF,
-		FilterTrue:   v.FilterTrue,
-		ResolveDelay: v.ResolveDelay,
-		PGU:          v.PGU,
-		PGUDelay:     v.PGUDelay,
-	})
-	return Cell{Entry: e, Variant: v, M: m}, nil
+
+	if k.timing {
+		prg, err := programFor(k.entry, k.trace)
+		if err != nil {
+			return Cell{}, err
+		}
+		pc := k.pipe
+		pc.Predictor = p
+		st, err := pipeline.Run(prg, pc, k.limit)
+		return Cell{P: st}, err
+	}
+
+	tr, err := traceFor(k.entry, k.trace)
+	if err != nil {
+		return Cell{}, err
+	}
+	ec := k.eval
+	ec.Predictor = p
+	return Cell{M: core.Evaluate(tr, ec)}, nil
 }
 
 // traceFor resolves a TraceKind to the entry's trace, materializing the

@@ -2,8 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/charz"
+	"repro/internal/workload"
 )
 
 func ids(exps []Experiment) string {
@@ -130,16 +134,41 @@ func TestSpecContextCancellation(t *testing.T) {
 	}
 }
 
+// TestSpecMissingWorkloadErrors: a spec naming a workload that does
+// not exist fails with the workload lookup's own error, and neither the
+// valid synthetic name beside it nor any cell is memoized.
 func TestSpecMissingWorkloadErrors(t *testing.T) {
-	s := testSuite(t)
-	spec := Spec{
-		ID: "EX", Title: "x", Workloads: []string{"no-such-workload"},
-		Variants: []Variant{{Key: "a"}},
-		Tables:   []TableSpec{{Title: "x", Shape: RowsPerEntry, Cols: []Col{workloadCol()}}},
+	for _, bad := range []string{"no-such-workload", "syn:no-such-family"} {
+		s := &Suite{cfg: Config{}.withDefaults()}
+		spec := Spec{
+			ID: "EX", Title: "x", Workloads: []string{charz.CatalogNames()[0], bad},
+			Variants: []Variant{{Key: "a"}},
+			Tables:   []TableSpec{{Title: "x", Shape: RowsPerEntry, Cols: []Col{workloadCol()}}},
+		}
+		_, err := spec.Experiment().Run(context.Background(), s, Config{})
+		_, want := workload.ByName(bad)
+		if err == nil || want == nil {
+			t.Fatalf("%s: run err %v, lookup err %v: want both non-nil", bad, err, want)
+		}
+		if !strings.Contains(err.Error(), bad) || !unwrapsTo(err, want) {
+			t.Errorf("%s: err %q does not wrap the lookup error %q", bad, err, want)
+		}
+		if len(s.extra) != 0 || memoLen(s) != 0 {
+			t.Errorf("%s: failed run memoized %d entries and %d cells", bad, len(s.extra), memoLen(s))
+		}
 	}
-	if _, err := spec.Experiment().Run(context.Background(), s, Config{}); err == nil {
-		t.Fatal("unknown workload accepted")
+}
+
+// unwrapsTo reports whether err's %w chain reaches an error rendering
+// exactly as want (lookup errors are built per call, so identity
+// comparison cannot apply).
+func unwrapsTo(err, want error) bool {
+	for ; err != nil; err = errors.Unwrap(err) {
+		if err.Error() == want.Error() {
+			return true
+		}
 	}
+	return false
 }
 
 func TestConfigHash(t *testing.T) {

@@ -73,7 +73,12 @@ func DefaultConfig(p bpred.Predictor) Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero-valued machine parameter
+// replaced by its default (the configuration Run actually simulates):
+// penalty 10, resolve latency 5, issue width 1, RAS depth 8 (0 under
+// NoRAS). Two configs that differ only in zero values versus their
+// defaults describe the same machine once passed through it.
+func (c Config) WithDefaults() Config {
 	if c.MispredictPenalty == 0 {
 		c.MispredictPenalty = 10
 	}
@@ -160,7 +165,7 @@ type pendingResolve struct {
 
 // Run executes the program on the timing model.
 func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.Predictor == nil {
 		return Stats{}, fmt.Errorf("pipeline: no predictor configured")
 	}

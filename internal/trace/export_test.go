@@ -4,3 +4,7 @@ package trace
 // package (which lives outside the package to break an import cycle
 // through workload).
 const VersionForTest = traceVersion
+
+// CollectChunkForTest exposes Collect's staging-chunk size so tests can
+// place event counts on either side of a chunk boundary.
+const CollectChunkForTest = collectChunk

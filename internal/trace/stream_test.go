@@ -4,25 +4,67 @@
 package trace_test
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/isa"
+	"repro/internal/prog"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// countdown builds a program whose while loop runs iters times: each
+// iteration and the final failing test contribute one compare and one
+// conditional branch, so the trace holds exactly 2*(iters+1) events.
+func countdown(name string, iters int64) *prog.Program {
+	b := prog.NewBuilder(name)
+	b.Movi(1, iters)
+	b.While(prog.RI(isa.CmpGT, 1, 0), func() {
+		b.Subi(1, 1, 1)
+	})
+	b.Halt(0)
+	return b.MustProgram()
+}
+
 // TestStreamMatchesCollect replays every workload both ways — streamed
 // straight off the emulator and via the materialized trace — and
-// requires identical event streams and counts.
+// requires identical event streams and counts, and an exact-size event
+// slice. Besides the suite it covers a program with no events and
+// programs whose event counts sit on and around Collect's staging-chunk
+// boundary.
 func TestStreamMatchesCollect(t *testing.T) {
+	type tc struct {
+		name  string
+		p     *prog.Program
+		nEvts int // expected event count; -1 when not pinned
+	}
+	var cases []tc
 	for _, w := range workload.Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			p := w.Build()
-			tr, err := trace.Collect(p, 3_000_000)
+		cases = append(cases, tc{w.Name, w.Build(), -1})
+	}
+	halt := prog.NewBuilder("no-events")
+	halt.Halt(0)
+	cases = append(cases, tc{"no-events", halt.MustProgram(), 0})
+	chunk := trace.CollectChunkForTest
+	for _, n := range []int{chunk - 2, chunk, chunk + 2, 2*chunk + 2} {
+		name := fmt.Sprintf("events-%d", n)
+		cases = append(cases, tc{name, countdown(name, int64(n/2-1)), n})
+	}
+
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := trace.Collect(c.p, 3_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := trace.Stream(p, 3_000_000).Replay()
+			if len(tr.Events) != cap(tr.Events) {
+				t.Errorf("Events len %d, cap %d: not exact-size", len(tr.Events), cap(tr.Events))
+			}
+			if c.nEvts >= 0 && len(tr.Events) != c.nEvts {
+				t.Fatalf("collected %d events, want %d", len(tr.Events), c.nEvts)
+			}
+			r := trace.Stream(c.p, 3_000_000).Replay()
 			var ev trace.Event
 			i := 0
 			for r.Next(&ev) {

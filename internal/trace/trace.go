@@ -63,18 +63,38 @@ type Trace struct {
 	PredDefs       uint64
 }
 
+// collectChunk is the number of events per staging chunk in Collect.
+const collectChunk = 1 << 11
+
 // Collect runs the program to completion and records its event stream.
 // It materializes the same stream Stream produces, for traces that are
-// replayed many times across a predictor sweep.
+// replayed many times across a predictor sweep. Events are staged in
+// fixed-size chunks and copied once into an exact-size slice
+// (len(Events) == cap(Events)), so a trace neither pays for repeated
+// growth copies nor keeps spare capacity for its lifetime.
 func Collect(p *prog.Program, limit uint64) (*Trace, error) {
 	r := newEmuReader(p, limit)
-	tr := &Trace{Name: p.Name}
-	var ev Event
-	for r.Next(&ev) {
-		tr.Events = append(tr.Events, ev)
+	var full [][]Event
+	chunk := make([]Event, collectChunk)
+	n := 0
+	for r.Next(&chunk[n]) {
+		if n++; n == collectChunk {
+			full = append(full, chunk)
+			chunk = make([]Event, collectChunk)
+			n = 0
+		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	tr := &Trace{Name: p.Name}
+	if total := len(full)*collectChunk + n; total > 0 {
+		tr.Events = make([]Event, total)
+		off := 0
+		for _, c := range full {
+			off += copy(tr.Events[off:], c)
+		}
+		copy(tr.Events[off:], chunk[:n])
 	}
 	c := r.Counts()
 	tr.Insts = c.Insts

@@ -4,8 +4,10 @@
 package trace_test
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/ifconv"
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -210,7 +212,14 @@ func TestCollectLimit(t *testing.T) {
 	b := prog.NewBuilder("t")
 	b.Label("x")
 	b.Br("x")
-	if _, err := trace.Collect(b.MustProgram(), 50); err == nil {
-		t.Fatal("infinite loop did not hit the limit")
+	if _, err := trace.Collect(b.MustProgram(), 50); !errors.Is(err, emu.ErrLimit) {
+		t.Fatalf("infinite loop: err = %v, want emu.ErrLimit", err)
+	}
+	// A limit hit after several staging chunks have filled fails the
+	// same way: no partial trace is returned.
+	p := countdown("long", int64(4*trace.CollectChunkForTest))
+	tr, err := trace.Collect(p, uint64(8*trace.CollectChunkForTest))
+	if !errors.Is(err, emu.ErrLimit) || tr != nil {
+		t.Fatalf("limited long run: trace %v, err = %v, want nil and emu.ErrLimit", tr, err)
 	}
 }
