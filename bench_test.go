@@ -160,10 +160,10 @@ func BenchmarkEvaluateGshare(b *testing.B) {
 
 // feedBench measures the evaluator feed loop itself — the hot path behind
 // every sweep, oracle run, and serving session — isolated from trace
-// collection. The generic variant dispatches through the Predictor
-// interface per event; the batch variant goes through the devirtualized
-// FeedBatch fast path. Their ratio is the recorded fast-path speedup
-// (see EXPERIMENTS.md and cmd/bpbench).
+// collection. The generic variant makes one Feed call per event; the
+// batch variant feeds the whole trace through one FeedBatch call. Their
+// ratio is the per-call cost Feed adds (see EXPERIMENTS.md and
+// cmd/bpbench).
 func feedBench(b *testing.B, spec string, batch bool) {
 	p := MustWorkload("bsearch").Build()
 	cp, _, err := IfConvert(p, IfConvConfig{})

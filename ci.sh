@@ -30,6 +30,14 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bench module =="
+# bench/ is its own module, so the root vet and test stop at its go.mod;
+# vetting it here catches a core or trace API change that breaks the
+# benchmark before a benchmark run does. Only the fast unit tests run:
+# TestWorkloadsSmoke, which boots daemons and runs every workload, is
+# left out.
+(cd bench && go vet ./... && go test -run 'Test(WindowRate|QuartilesMatchPython|TailPercentileNeedsTenSamplesBeyond|MetricsDelta|ScheduleHashFollowsSeed)' ./...)
+
 echo "== coverage floors =="
 # One coverage pass over the whole module; every floor is parsed out of
 # the same run instead of re-testing floor packages one at a time.
@@ -104,9 +112,8 @@ go test -run='^$' -bench BenchmarkFeed -benchtime 1x .
 echo "== bpbench regression gate =="
 # Quick grid against the committed baseline; any metric more than 25%
 # worse fails CI. The quick grid includes the serve HTTP feed benchmarks
-# (serial and multi-client) and the counter-layout microbenchmarks, so
-# a serving-path or table-layout regression trips the same gate as a
-# feed-loop one. The fresh artifact is left in a temp file for
+# (serial and multi-client), so a serving-path regression trips the
+# same gate as a feed-loop one. The fresh artifact is left in a temp file for
 # inspection (and for refreshing BENCH.json after intentional changes).
 benchout=$(mktemp /tmp/BENCH.ci.XXXXXX.json)
 go run ./cmd/bpbench -quick -o "$benchout" -compare BENCH.json -threshold 0.25

@@ -7,15 +7,14 @@
 //   - feed/<spec>/fast and feed/<spec>/generic — evaluator feed-loop
 //     throughput (events/s) per registry predictor kind over a
 //     cache-resident window of the 16-kernel suite's if-converted event
-//     stream, through the devirtualized batch fast path (FeedBatch) and
-//     the generic per-event interface path (Feed). Their ratio is the
-//     fast-path speedup.
+//     stream, fed one window per FeedBatch call (fast) and one event per
+//     Feed call (generic). Their ratio is the per-call cost Feed adds.
 //   - feed/<spec>/fast-featured and /generic-featured — the same loops
 //     with the paper mechanisms live (SFPF + PGU), for the sweep-shaped
 //     workload rather than the serving-shaped one (gshare only by
 //     default; every kind with -allfeatured).
-//   - allocs/feed/<spec> — steady-state heap allocations per event on the
-//     batch fast path (must be 0 for every specialized kind).
+//   - allocs/feed/<spec> — steady-state heap allocations per event in
+//     FeedBatch (must be 0 for every specialized kind).
 //   - serve/feed/<spec> — serve-session throughput (events/s) through
 //     real HTTP: binary P64T batches posted to an in-process server.
 //   - experiments/all — wall-clock milliseconds to regenerate the full
@@ -214,14 +213,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	for _, bits := range []int{12, 20} {
-		for _, packed := range []bool{true, false} {
-			if err := add(benchLayout(bits, packed, *minTime)); err != nil {
-				return err
-			}
-		}
-	}
-
 	if !*quick {
 		if err := add(benchExperiments()); err != nil {
 			return err
@@ -351,8 +342,8 @@ func bestRate(eventsPerOp int, minTime time.Duration, op func()) Result {
 	return Result{Value: best, Unit: "events/s", HigherBetter: true}
 }
 
-// benchAllocs measures steady-state heap allocations per event on the
-// batch fast path. The specialized kinds must measure 0.
+// benchAllocs measures steady-state heap allocations per event in
+// FeedBatch. The specialized kinds must measure 0.
 func benchAllocs(spec sim.Spec, window []trace.Event) (Result, error) {
 	cfg, err := feedConfig(spec, true)
 	if err != nil {

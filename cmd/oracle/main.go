@@ -4,8 +4,8 @@
 // doubling, static interleave-invariance), and the
 // cross-implementation equivalences (slice vs. stream replay, Collect
 // vs. Stream event production, serialize round-trip, serial vs. parallel
-// sweep, devirtualized batch fast path vs. generic per-event feed) over
-// every built-in workload plus synthetic programs.
+// sweep, batch feed vs. per-event feed) over every built-in workload plus
+// synthetic programs.
 // It exits nonzero on any divergence, making it a one-command
 // correctness gate for refactors of the simulation engine.
 //
@@ -186,9 +186,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Fast-path equivalence for every selected predictor kind: the
-	// devirtualized batch loop must be metrics-identical to the generic
-	// interface path, kind by kind, over a real converted workload.
+	// Batch equivalence for every selected predictor kind: batched
+	// feeding must be metrics-identical to per-event feeding, kind by
+	// kind, over a real converted workload.
 	for _, kind := range kinds {
 		spec := sim.MustParse(kind)
 		c := cases[0]

@@ -41,14 +41,32 @@ type HistoryObserver interface {
 //
 // but computes shared work (table indices, perceptron sums, bias lookups)
 // once instead of twice. Every concrete predictor in this package
-// implements it; the batch evaluation fast path (core.Evaluator.FeedBatch)
-// type-switches onto the concrete types so its inner loop runs fused and
-// devirtualized.
+// implements it; the evaluator and the timing model take any predictor
+// through AsFused, so they make one predictor call per branch.
 type Fused interface {
 	Predictor
 	// PredictUpdate returns the prediction for pc and trains with the
 	// actual outcome in one step.
 	PredictUpdate(pc uint64, taken bool) bool
+}
+
+// AsFused returns p itself when it implements Fused, and otherwise a
+// wrapper whose PredictUpdate runs p's Predict and then its Update.
+func AsFused(p Predictor) Fused {
+	if f, ok := p.(Fused); ok {
+		return f
+	}
+	return splitFused{p}
+}
+
+// splitFused adapts a Predictor without a fused step to Fused.
+type splitFused struct{ Predictor }
+
+// PredictUpdate implements Fused.
+func (s splitFused) PredictUpdate(pc uint64, taken bool) bool {
+	pred := s.Predict(pc)
+	s.Update(pc, taken)
+	return pred
 }
 
 // counterInit is the initial 2-bit counter value: 1, weakly not-taken,

@@ -35,8 +35,8 @@ func TestPredictUpdateMatchesSplit(t *testing.T) {
 	for name, build := range fusedPairs() {
 		t.Run(name, func(t *testing.T) {
 			split, fusedP := build()
-			fused, ok := fusedP.(Fused)
-			if !ok {
+			fused := AsFused(fusedP)
+			if fused != fusedP {
 				t.Fatalf("%s does not implement Fused", fusedP.Name())
 			}
 			sObs, _ := split.(HistoryObserver)

@@ -1,125 +1,39 @@
-// Batch evaluation fast path.
+// The evaluator's feed loop.
 //
-// The per-event hot path every consumer funnels through — experiment
-// sweeps, the differential oracle, serving sessions, trace replay CLIs —
-// is Feed: two dynamic-dispatch interface calls per branch (Predict,
-// Update), each recomputing shared state (table indices, perceptron
-// sums). FeedBatch removes both costs: it type-switches once per batch
-// onto the concrete predictor and runs a monomorphic inner loop over the
-// fused PredictUpdate step, so the per-event work is a single direct call
-// with the index math done once and zero allocations. The generic Feed
-// loop remains the fallback for Predictor implementations outside
-// internal/bpred, and the oracle's fast-vs-generic equivalence check
-// pins the two paths to bit-identical metrics.
+// Every consumer — experiment sweeps, the differential oracle, serving
+// sessions, trace replay CLIs — advances an Evaluator through FeedBatch;
+// Feed is its one-event case. The loop makes one predictor call per
+// predicted branch through bpred.Fused: NewEvaluator takes the predictor
+// through bpred.AsFused, so the internal/bpred kinds run their fused
+// PredictUpdate step (index math and perceptron sums computed once) and
+// any other Predictor runs Predict then Update behind the same call.
+// When SFPF, PGU and per-branch statistics are all off — the serving
+// configuration — FeedBatch runs feedTight, which has no filter,
+// pending-bit or per-branch work to skip.
 
 package core
 
 import (
-	"repro/internal/bpred"
+	"unsafe"
+
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
+// Feed advances the evaluation by one event. Events must arrive in
+// dynamic order (non-decreasing Step), as a trace replay produces them.
+func (e *Evaluator) Feed(ev *trace.Event) { e.FeedBatch(unsafe.Slice(ev, 1)) }
+
 // FeedBatch advances the evaluation by a batch of events, exactly as
-// feeding them to Feed one at a time would, but through the fused,
-// devirtualized inner loop when the predictor is one of the concrete
-// internal/bpred kinds. Events must arrive in dynamic order across
-// batches, as with Feed. FeedBatch only reads the events; the caller may
-// reuse the slice afterwards.
+// feeding them to Feed one at a time would. Events must arrive in dynamic
+// order across batches, as with Feed. FeedBatch only reads the events;
+// the caller may reuse the slice afterwards.
 func (e *Evaluator) FeedBatch(events []trace.Event) {
-	switch p := e.p.(type) {
-	case *bpred.GShare:
-		feedFused(e, p, events)
-	case *bpred.Bimodal:
-		feedFused(e, p, events)
-	case *bpred.Tournament:
-		feedFused(e, p, events)
-	case *bpred.Agree:
-		feedFused(e, p, events)
-	case *bpred.Perceptron:
-		feedFused(e, p, events)
-	case *bpred.GSelect:
-		feedFused(e, p, events)
-	case *bpred.GAg:
-		feedFused(e, p, events)
-	case *bpred.Local:
-		feedFused(e, p, events)
-	case *bpred.Static:
-		feedFused(e, p, events)
-	default:
-		for i := range events {
-			e.Feed(&events[i])
-		}
-	}
-}
-
-// FeedBatches advances the evaluation by several batches of events, in
-// order, exactly as calling FeedBatch on each would. The type switch —
-// and with it the predictor devirtualization — happens once for the
-// whole group rather than once per batch, so a scheduling pass that has
-// gathered many small queued batches for one hot session (the serve
-// shard wakeup path) pays the dispatch cost once and then runs the
-// monomorphic loop back to back while the predictor's tables stay
-// cache-resident.
-func (e *Evaluator) FeedBatches(batches [][]trace.Event) {
-	switch p := e.p.(type) {
-	case *bpred.GShare:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.Bimodal:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.Tournament:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.Agree:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.Perceptron:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.GSelect:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.GAg:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.Local:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	case *bpred.Static:
-		for _, b := range batches {
-			feedFused(e, p, b)
-		}
-	default:
-		for _, b := range batches {
-			for i := range b {
-				e.Feed(&b[i])
-			}
-		}
-	}
-}
-
-// feedFused is the specialized batch loop, instantiated per concrete
-// predictor type so the predict+train step is a direct (fused) call. Its
-// body must stay semantically identical to Evaluator.Feed; the oracle's
-// fastpath checks and the golden CSV gate enforce that equivalence.
-func feedFused[P interface {
-	PredictUpdate(pc uint64, taken bool) bool
-	Update(pc uint64, taken bool)
-}](e *Evaluator, p P, events []trace.Event) {
 	if !e.cfg.UseSFPF && !e.cfg.PerBranch && e.pgu == nil && len(e.pending) == 0 {
-		feedFusedTight(e, p, events)
+		e.feedTight(events)
 		return
 	}
+	p := e.f
 	useSFPF := e.cfg.UseSFPF
 	filterTrue := e.cfg.FilterTrue
 	trainFiltered := e.cfg.TrainFiltered
@@ -205,17 +119,14 @@ func feedFused[P interface {
 	}
 }
 
-// feedFusedTight is the prediction-only loop for the configuration the
-// serving hot path runs in: SFPF off, PGU off (nil — an off policy or a
-// history-less predictor), no per-branch stats, nothing pending. With no
-// filter arms, no pending-flush probe, and no guard-field loads, each
-// branch event is counter bookkeeping plus one fused predictor step;
-// predicate defines only count. Feed degenerates to exactly this under
-// the same configuration, which the batch-vs-generic tests pin.
-func feedFusedTight[P interface {
-	PredictUpdate(pc uint64, taken bool) bool
-	Update(pc uint64, taken bool)
-}](e *Evaluator, p P, events []trace.Event) {
+// feedTight is FeedBatch for the configuration with SFPF off, PGU off
+// (nil — an off policy or a history-less predictor), no per-branch
+// statistics and nothing pending: each branch event is counter
+// bookkeeping plus one predictor step, and predicate defines only count.
+// It is kept apart because it measured faster than the full loop on that
+// configuration (EXPERIMENTS.md, "Engine: one feed loop").
+func (e *Evaluator) feedTight(events []trace.Event) {
+	p := e.f
 	m := &e.m
 	for i := range events {
 		ev := &events[i]

@@ -12,7 +12,7 @@ import (
 )
 
 // specializedPredictors builds one instance of every concrete predictor
-// kind the FeedBatch type switch devirtualizes.
+// kind, each of which implements bpred.Fused.
 func specializedPredictors() map[string]func() bpred.Predictor {
 	return map[string]func() bpred.Predictor{
 		"static":     func() bpred.Predictor { return bpred.NewStatic(true) },
@@ -62,10 +62,10 @@ func syntheticBatch(n int) []trace.Event {
 	return evs
 }
 
-// TestFeedBatchZeroAllocs pins the fast path's per-event allocation count
-// to zero for every specialized predictor kind: after one warm-up batch
-// (which sizes the pending-bit buffer), steady-state FeedBatch calls on
-// the serving hot path must not allocate at all.
+// TestFeedBatchZeroAllocs pins the feed loop's allocation count to zero
+// for every specialized predictor kind: after one warm-up batch (which
+// sizes the pending-bit buffer), steady-state FeedBatch calls and
+// per-event Feed calls must not allocate at all.
 func TestFeedBatchZeroAllocs(t *testing.T) {
 	events := syntheticBatch(512)
 	configs := map[string]EvalConfig{
@@ -83,6 +83,14 @@ func TestFeedBatchZeroAllocs(t *testing.T) {
 				e.FeedBatch(events)
 				if avg := testing.AllocsPerRun(50, func() { e.FeedBatch(events) }); avg != 0 {
 					t.Errorf("FeedBatch allocates %.2f times per batch on %s; want 0", avg, name)
+				}
+				feedEach := func() {
+					for i := range events {
+						e.Feed(&events[i])
+					}
+				}
+				if avg := testing.AllocsPerRun(50, feedEach); avg != 0 {
+					t.Errorf("per-event Feed allocates %.2f times per batch on %s; want 0", avg, name)
 				}
 				if e.Metrics().FilterErrors != 0 {
 					t.Errorf("synthetic batch produced %d filter errors", e.Metrics().FilterErrors)
@@ -135,41 +143,6 @@ func TestFeedBatchMatchesFeedSynthetic(t *testing.T) {
 	}
 }
 
-// TestFeedBatchesMatchesFeedBatch checks the grouped entry point: feeding
-// a set of batches through one FeedBatches call must produce metrics
-// identical to feeding each batch through FeedBatch in order, for every
-// specialized kind and for the generic fallback.
-func TestFeedBatchesMatchesFeedBatch(t *testing.T) {
-	events := syntheticBatch(4096)
-	// Uneven batch sizes, including an empty one mid-group.
-	cuts := []int{0, 700, 700, 1234, 2048, 4000, 4096}
-	var batches [][]trace.Event
-	for i := 1; i < len(cuts); i++ {
-		batches = append(batches, events[cuts[i-1]:cuts[i]])
-	}
-	builders := specializedPredictors()
-	builders["fallback"] = func() bpred.Predictor { return &unregisteredPredictor{} }
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			cfg := EvalConfig{
-				UseSFPF: true, FilterTrue: true, TrainFiltered: true, ResolveDelay: 4,
-				PGU: PGUAll, PGUDelay: 0, PerBranch: true,
-			}
-			cfg.Predictor = build()
-			one := NewEvaluator(cfg)
-			for _, b := range batches {
-				one.FeedBatch(b)
-			}
-			cfg.Predictor = build()
-			grouped := NewEvaluator(cfg)
-			grouped.FeedBatches(batches)
-			if got, want := grouped.Metrics(), one.Metrics(); !reflect.DeepEqual(got, want) {
-				t.Errorf("FeedBatches metrics diverge from per-batch FeedBatch:\n%s", metricsDiffTest(got, want))
-			}
-		})
-	}
-}
-
 // metricsDiffTest mirrors the oracle's field-by-field diff for readable
 // failures without importing internal/oracle (which imports core).
 func metricsDiffTest(a, b Metrics) string {
@@ -184,8 +157,8 @@ func metricsDiffTest(a, b Metrics) string {
 	return out
 }
 
-// unregisteredPredictor is a Predictor outside internal/bpred's concrete
-// set, forcing FeedBatch down its generic fallback arm.
+// unregisteredPredictor is a Predictor without a fused step, so the
+// evaluator runs it through bpred.AsFused's Predict-then-Update wrapper.
 type unregisteredPredictor struct{ last bool }
 
 func (u *unregisteredPredictor) Name() string            { return "unregistered" }
@@ -193,9 +166,8 @@ func (u *unregisteredPredictor) Predict(pc uint64) bool  { return u.last }
 func (u *unregisteredPredictor) Update(_ uint64, t bool) { u.last = t }
 func (u *unregisteredPredictor) Reset()                  { u.last = false }
 
-// TestFeedBatchFallback checks the generic fallback arm: a predictor type
-// unknown to the type switch must still evaluate, with metrics identical
-// to the per-event loop.
+// TestFeedBatchFallback checks a predictor without a fused step: it must
+// still evaluate, with batch metrics identical to per-event feeding.
 func TestFeedBatchFallback(t *testing.T) {
 	events := syntheticBatch(2048)
 	gen := NewEvaluator(EvalConfig{Predictor: &unregisteredPredictor{}})

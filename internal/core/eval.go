@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/bpred"
-	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -214,6 +213,7 @@ func Evaluate(src trace.Source, cfg EvalConfig) Metrics {
 type Evaluator struct {
 	cfg     EvalConfig
 	p       bpred.Predictor
+	f       bpred.Fused // p through bpred.AsFused: the feed loop's one call
 	obs     bpred.HistoryObserver
 	pgu     *PGU
 	pending []pendingBit
@@ -225,7 +225,7 @@ type Evaluator struct {
 func NewEvaluator(cfg EvalConfig) *Evaluator {
 	p := cfg.Predictor
 	p.Reset()
-	e := &Evaluator{cfg: cfg, p: p, pgu: NewPGU(cfg.PGU, p)}
+	e := &Evaluator{cfg: cfg, p: p, f: bpred.AsFused(p), pgu: NewPGU(cfg.PGU, p)}
 	e.obs, _ = p.(bpred.HistoryObserver)
 	return e
 }
@@ -259,80 +259,6 @@ func (e *Evaluator) flush(now uint64) {
 		e.pending = e.pending[:rem]
 	default:
 		e.pending = e.pending[i:]
-	}
-}
-
-// Feed advances the evaluation by one event. Events must arrive in
-// dynamic order (non-decreasing Step), as a trace replay produces them.
-func (e *Evaluator) Feed(ev *trace.Event) {
-	e.flush(ev.Step)
-	switch ev.Kind {
-	case trace.KindPredDef:
-		e.m.PredDefs++
-		if e.pgu != nil && e.pgu.Policy.Selects(ev) && ev.Executed {
-			e.pending = append(e.pending, pendingBit{applyAt: ev.Step + e.cfg.PGUDelay, bit: ev.Value})
-		}
-	case trace.KindBranch:
-		e.m.Branches++
-		if ev.Region {
-			e.m.RegionBranches++
-		}
-		var bs *BranchStats
-		if e.cfg.PerBranch {
-			if e.m.ByPC == nil {
-				e.m.ByPC = make(map[uint64]*BranchStats)
-			}
-			bs = e.m.ByPC[ev.PC]
-			if bs == nil {
-				bs = &BranchStats{PC: ev.PC, Region: ev.Region}
-				e.m.ByPC[ev.PC] = bs
-			}
-			bs.Count++
-			if ev.Taken {
-				bs.Taken++
-			}
-		}
-		if e.cfg.UseSFPF && ev.Guard != isa.P0 && ev.GuardDist >= e.cfg.ResolveDelay {
-			if !ev.GuardVal {
-				// Known-false guard: the branch cannot be taken.
-				e.m.Filtered++
-				if ev.Taken {
-					e.m.FilterErrors++ // impossible by ISA semantics
-				}
-				if bs != nil {
-					bs.Filtered++
-				}
-				if e.cfg.TrainFiltered {
-					e.p.Update(ev.PC, ev.Taken)
-				}
-				return
-			}
-			if e.cfg.FilterTrue && ev.GuardImpliesTaken {
-				// Known-true guard on a guard-implies-taken branch.
-				e.m.FilteredTrue++
-				if !ev.Taken {
-					e.m.FilterErrors++
-				}
-				if bs != nil {
-					bs.Filtered++
-				}
-				if e.cfg.TrainFiltered {
-					e.p.Update(ev.PC, ev.Taken)
-				}
-				return
-			}
-		}
-		pred := e.p.Predict(ev.PC)
-		if pred != ev.Taken {
-			e.m.Mispredicts++
-			if ev.Region {
-				e.m.RegionMispredicts++
-			}
-			if bs != nil {
-				bs.Mispredicts++
-			}
-		}
-		e.p.Update(ev.PC, ev.Taken)
 	}
 }
 
@@ -380,10 +306,10 @@ func (m Metrics) Clone() Metrics {
 	return out
 }
 
-// evalBatchSize is the event-batch granularity EvaluateStream feeds the
-// specialized batch path with when the reader cannot expose contiguous
-// views itself. Large enough to amortise the per-batch type switch to
-// nothing, small enough to stay cache-resident (24 B/event ≈ 96 KiB).
+// evalBatchSize is the event-batch granularity EvaluateStream feeds
+// FeedBatch with when the reader cannot expose contiguous views itself.
+// Large enough to amortise the per-batch set-up to nothing, small enough
+// to stay cache-resident (24 B/event ≈ 96 KiB).
 const evalBatchSize = 4096
 
 // EvaluateStream replays one event stream through the configured
@@ -392,10 +318,10 @@ const evalBatchSize = 4096
 // produced, so a reader backed by a live emulator run evaluates in
 // constant memory.
 //
-// Events are fed through the batch fast path (FeedBatch): a reader that
-// implements trace.BatchReader — the materialized in-memory trace does —
-// hands over contiguous event views with zero copying; any other reader
-// is gathered into a scratch buffer batch by batch.
+// Events are fed in batches (FeedBatch): a reader that implements
+// trace.BatchReader — the materialized in-memory trace does — hands over
+// contiguous event views with zero copying; any other reader is gathered
+// into a scratch buffer batch by batch.
 func EvaluateStream(r trace.Reader, cfg EvalConfig) (Metrics, error) {
 	e := NewEvaluator(cfg)
 	if br, ok := r.(trace.BatchReader); ok {

@@ -150,12 +150,12 @@ func CheckSerializeRoundTrip(c Case) error {
 	return nil
 }
 
-// CheckBatchEquivalence replays the case's trace through the generic
-// per-event Feed loop and through the specialized batch fast path
-// (FeedBatch), in uneven batch sizes chosen to straddle the fast path's
-// internal boundaries, and requires bit-identical Metrics. This is the
-// devirtualized-fast-path-vs-interface-path equivalence everything that
-// calls EvaluateStream now silently relies on.
+// CheckBatchEquivalence replays the case's trace through per-event Feed
+// calls and through FeedBatch in uneven batch sizes, and requires
+// bit-identical Metrics: state carried across batch boundaries (pending
+// predicate bits, the choice between the full and the tight loop) must
+// not depend on how the stream is cut. Everything that calls
+// EvaluateStream relies on that.
 func CheckBatchEquivalence(c Case) error {
 	tr, err := trace.Collect(c.Prog, c.Limit)
 	if err != nil {

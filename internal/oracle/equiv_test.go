@@ -83,9 +83,9 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 }
 
 // TestBatchEquivalenceAllKinds replays every predictor spec in the
-// registry through the generic per-event Feed loop and the devirtualized
-// batch fast path and requires bit-identical Metrics — the in-tree form
-// of the cmd/oracle fastpath matrix.
+// registry through per-event Feed calls and through batched FeedBatch
+// calls and requires bit-identical Metrics — the in-tree form of the
+// cmd/oracle fastpath matrix.
 func TestBatchEquivalenceAllKinds(t *testing.T) {
 	for _, kind := range sim.Kinds() {
 		kind := kind

@@ -13,9 +13,10 @@ import (
 	"repro/internal/workload"
 )
 
-// splitPredictor and splitObserver hide bpred.Fused from Run, so it takes
-// the Predict-at-fetch, Update-at-resolve path. splitObserver keeps the
-// history hook, without which the PGU arms would go quiet.
+// splitPredictor and splitObserver hide bpred.Fused from Run, so it runs
+// the predictor through bpred.AsFused's Predict-then-Update wrapper.
+// splitObserver keeps the history hook, without which the PGU arms would
+// go quiet.
 type splitPredictor struct{ bpred.Predictor }
 
 type splitObserver struct {

@@ -192,11 +192,11 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 	var st Stats
 	sfpf := core.NewSFPF()
 	obs, _ := cfg.Predictor.(bpred.HistoryObserver)
-	// A fused predictor predicts and trains in one step at resolve time.
-	// That is exact: nothing touches the predictor between a branch's
-	// fetch and its resolve, since history bits are only inserted at the
-	// top of the loop.
-	fused, _ := cfg.Predictor.(bpred.Fused)
+	// The predictor predicts and trains in one step at resolve time. That
+	// is exact: nothing touches the predictor between a branch's fetch and
+	// its resolve, since history bits are only inserted at the top of the
+	// loop.
+	pred := bpred.AsFused(cfg.Predictor)
 
 	var regReady [isa.NumRegs]uint64
 	var cycle uint64
@@ -235,27 +235,15 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 		isCondBranch := (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0 ||
 			in.Op == isa.OpCloop
 		guardImpliesTaken := in.Op != isa.OpCloop
-		var predicted bool
-		var filtered, filteredTrue, usePredictor bool
+		var filtered, filteredTrue bool
 		if isCondBranch {
 			st.Branches++
 			if in.Region {
 				st.RegionBranches++
 			}
 			if known, val := sfpf.Lookup(in.QP); cfg.UseSFPF && in.QP != isa.P0 && known {
-				switch {
-				case !val:
-					predicted, filtered = false, true
-				case cfg.FilterTrue && guardImpliesTaken:
-					predicted, filteredTrue = true, true
-				default:
-					usePredictor = true
-				}
-			} else {
-				usePredictor = true
-			}
-			if usePredictor && fused == nil {
-				predicted = cfg.Predictor.Predict(uint64(idx))
+				filtered = !val
+				filteredTrue = val && cfg.FilterTrue && guardImpliesTaken
 			}
 		}
 		pdsts, npd := in.PredDests()
@@ -334,7 +322,7 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 					st.FilterErrors++
 				}
 				if cfg.TrainFiltered {
-					cfg.Predictor.Update(uint64(idx), si.Taken)
+					pred.Update(uint64(idx), si.Taken)
 				}
 			case filteredTrue:
 				st.FilteredTrue++
@@ -342,15 +330,10 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 					st.FilterErrors++
 				}
 				if cfg.TrainFiltered {
-					cfg.Predictor.Update(uint64(idx), si.Taken)
+					pred.Update(uint64(idx), si.Taken)
 				}
 			default:
-				if fused != nil {
-					predicted = fused.PredictUpdate(uint64(idx), si.Taken)
-				} else {
-					cfg.Predictor.Update(uint64(idx), si.Taken)
-				}
-				if predicted != si.Taken {
+				if pred.PredictUpdate(uint64(idx), si.Taken) != si.Taken {
 					st.Mispredicts++
 					if in.Region {
 						st.RegionMispredicts++

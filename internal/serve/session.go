@@ -71,10 +71,12 @@ type session struct {
 	events  uint64
 	batches uint64
 	lastSeq uint64 // highest applied batch sequence number (0 = none)
-	bytes   int64
-	created time.Time
-	last    time.Time
-	elem    *list.Element
+	// specBytes is specBytes(spec), computed once at construction.
+	specBytes int64
+	bytes     int64
+	created   time.Time
+	last      time.Time
+	elem      *list.Element
 }
 
 func (s *session) info(withMetrics bool) *SessionInfo {
@@ -118,8 +120,7 @@ type feedReq struct {
 // the shard's run goroutine, which drains the queue in scheduling
 // passes: single-writer ownership means the event-feed hot path takes no
 // locks, and batches queued for the same hot session during one wakeup
-// are fed back to back through one devirtualized FeedBatches call while
-// the predictor's tables are cache-resident.
+// are fed back to back while the predictor's tables are cache-resident.
 type shard struct {
 	mgr *sessionManager
 
@@ -168,10 +169,10 @@ func (sh *shard) run(ttl, sweepEvery time.Duration) {
 // everything else already queued. Ops run in arrival order, with one
 // exception that preserves observable semantics: a contiguous run of
 // feed ops is grouped by session, so n batches queued for one session
-// execute as a single lookup + seq walk + FeedBatches flush instead of n
-// independent dispatches. fn ops are barriers — grouping never reorders
-// a feed across a create/delete/snapshot — and per-session feed order is
-// arrival order, so sequence semantics are unchanged.
+// execute as a single lookup and seq walk instead of n independent
+// dispatches. fn ops are barriers — grouping never reorders a feed across
+// a create/delete/snapshot — and per-session feed order is arrival order,
+// so sequence semantics are unchanged.
 func (sh *shard) pass(first shardOp) {
 	ops := append(sh.passBuf[:0], first)
 drain:
@@ -237,13 +238,9 @@ func (sh *shard) feedRun(run []shardOp) {
 	sh.makeRoom(sh.mgr.now(), 0)
 }
 
-// feedSession applies a session's grouped feed requests in order. The
-// seq walk (duplicate acks, gap rejects, bookkeeping) runs eagerly per
-// request; accepted batches accumulate and flush through one
-// FeedBatches call — immediately when a request wants metrics in its
-// reply, at the end of the group otherwise. Replies for applied batches
-// are sent only after their events are flushed, so an acked batch is
-// always applied state, exactly as when each batch was its own op.
+// feedSession applies a session's grouped feed requests in arrival
+// order. Each accepted batch is fed through one FeedBatch call and
+// acknowledged right after, so an acked batch is always applied state.
 func (sh *shard) feedSession(id string, group []*feedReq) {
 	// The clock is read per session group, not per pass: a session touched
 	// by an earlier group in this pass must look idle to a later group's
@@ -257,15 +254,6 @@ func (sh *shard) feedSession(id string, group []*feedReq) {
 		}
 		return
 	}
-	var batches [][]trace.Event
-	var applied []*feedReq // replies owed after the final flush, in order
-	var totals []uint64    // session event totals as of each applied batch
-	flush := func() {
-		if len(batches) > 0 {
-			s.eval.FeedBatches(batches)
-			batches = batches[:0]
-		}
-	}
 	for _, r := range group {
 		// Sequence-numbered batches are exactly-once: a seq at or below
 		// the last applied one is a retry of work already done (common
@@ -276,7 +264,6 @@ func (sh *shard) feedSession(id string, group []*feedReq) {
 			if r.seq <= s.lastSeq {
 				res := FeedResult{Events: len(r.events), TotalEvents: s.events, Duplicate: true}
 				if r.withMetrics {
-					flush()
 					res.Info = s.info(true)
 				}
 				r.reply <- sessionReply{feed: res}
@@ -290,33 +277,26 @@ func (sh *shard) feedSession(id string, group []*feedReq) {
 		if r.seq > 0 {
 			s.lastSeq = r.seq
 		}
-		// The hot path: one goroutine, no locks, batches accumulated for
-		// one devirtualized flush through the evaluator's fused fast path.
-		batches = append(batches, r.events)
+		// The hot path: one goroutine, no locks.
+		s.eval.FeedBatch(r.events)
 		s.eval.AddInsts(r.insts)
 		s.events += uint64(len(r.events))
 		s.batches++
 		sh.mgr.tel.events.Add(uint64(len(r.events)))
 		sh.mgr.tel.batches.Inc()
+		res := FeedResult{Events: len(r.events), TotalEvents: s.events}
 		if r.withMetrics {
-			flush()
-			r.reply <- sessionReply{feed: FeedResult{
-				Events: len(r.events), TotalEvents: s.events, Info: s.info(true),
-			}}
-			continue
+			res.Info = s.info(true)
 		}
-		applied = append(applied, r)
-		totals = append(totals, s.events)
+		r.reply <- sessionReply{feed: res}
 	}
-	flush()
 	sh.touch(s, now)
-	sh.setBytes(s, specBytes(s.spec)+int64(len(s.eval.Metrics().ByPC))*96)
-	for i, r := range applied {
-		r.reply <- sessionReply{feed: FeedResult{Events: len(r.events), TotalEvents: totals[i]}}
-	}
+	sh.setBytes(s, s.specBytes+int64(len(s.eval.Metrics().ByPC))*96)
 }
 
+// insert adds a newly built session, accounted at its spec estimate.
 func (sh *shard) insert(s *session) {
+	s.bytes = s.specBytes
 	sh.sessions[s.id] = s
 	s.elem = sh.lru.PushFront(s)
 	sh.bytes += s.bytes
@@ -395,8 +375,8 @@ func (sh *shard) restore(id string, now time.Time) *session {
 	s := &session{
 		id: id, spec: res.Spec, eval: res.Eval,
 		events: res.Meta.Events, batches: res.Meta.Batches, lastSeq: res.Meta.LastSeq,
-		bytes:   specBytes(res.Spec),
-		created: now, last: now,
+		specBytes: specBytes(res.Spec),
+		created:   now, last: now,
 	}
 	sh.insert(s)
 	sh.mgr.tel.warmRestores.Inc()
@@ -601,9 +581,9 @@ func (m *sessionManager) Create(ctx context.Context, id string, spec sim.Spec, c
 		}
 		s := &session{
 			id: id, spec: spec,
-			eval:    core.NewEvaluator(cfg),
-			bytes:   specBytes(spec),
-			created: now, last: now,
+			eval:      core.NewEvaluator(cfg),
+			specBytes: specBytes(spec),
+			created:   now, last: now,
 		}
 		sh.insert(s)
 		m.tel.sessCreated.Inc()
@@ -708,8 +688,8 @@ func (m *sessionManager) Restore(ctx context.Context, id string, res *snap.Resto
 		s := &session{
 			id: id, spec: res.Spec, eval: res.Eval,
 			events: res.Meta.Events, batches: res.Meta.Batches, lastSeq: res.Meta.LastSeq,
-			bytes:   specBytes(res.Spec),
-			created: now, last: now,
+			specBytes: specBytes(res.Spec),
+			created:   now, last: now,
 		}
 		sh.insert(s)
 		m.tel.sessCreated.Inc()

@@ -427,3 +427,54 @@ func TestSchedulingPassGroupsSessionBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedSessionAllocs is the serve path's allocation gate: applying an
+// 8-batch group for one session — seq walk, feed, accounting, replies —
+// allocates nothing once the session is warm. It runs on the shard
+// goroutine, which owns the session table.
+func TestFeedSessionAllocs(t *testing.T) {
+	batch := testTrace().Events
+	if len(batch) > 1024 {
+		batch = batch[:1024]
+	}
+	for name, opts := range map[string]EvalOptions{
+		"serving":    {},
+		"per-branch": {SFPF: true, PerBranch: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := MustNew(Config{Shards: 1})
+			defer s.Close()
+			ctx := context.Background()
+			cfg, err := opts.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := sim.MustParse("gshare:12:8")
+			cfg.Predictor = spec.MustNew()
+			inf, err := s.mgr.Create(ctx, "", spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			group := make([]*feedReq, 8)
+			for i := range group {
+				group[i] = &feedReq{id: inf.ID, events: batch, insts: 1, reply: make(chan sessionReply, 1)}
+			}
+			sh := s.mgr.shardFor(inf.ID)
+			allocs := make(chan float64, 1)
+			err = s.mgr.enqueue(ctx, sh, shardOp{fn: func() {
+				allocs <- testing.AllocsPerRun(20, func() {
+					sh.feedSession(inf.ID, group)
+					for _, r := range group {
+						<-r.reply
+					}
+				})
+			}}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if avg := <-allocs; avg != 0 {
+				t.Errorf("feedSession allocates %.1f times per 8-batch group; want 0", avg)
+			}
+		})
+	}
+}

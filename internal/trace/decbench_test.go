@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -20,7 +21,7 @@ func BenchmarkDecode8K(b *testing.B) {
 	scratch := make([]Event, 0, 8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr2, err := ReadTraceInto(bytes.NewReader(payload), scratch)
+		tr2, err := ReadTraceFrom(bufio.NewReader(bytes.NewReader(payload)), scratch)
 		if err != nil {
 			b.Fatal(err)
 		}

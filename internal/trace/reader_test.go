@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"reflect"
 	"testing"
@@ -66,9 +67,10 @@ func TestNextBatchIsView(t *testing.T) {
 	}
 }
 
-// TestReadTraceInto checks scratch-buffer decoding: the result matches
-// ReadTrace, a sufficient scratch's backing array is reused, and decoding
-// into a recycled buffer allocates no new event storage.
+// TestReadTraceInto checks scratch-buffer decoding through ReadTraceFrom:
+// the result matches ReadTrace, a sufficient scratch's backing array is
+// reused, and decoding into a recycled buffer allocates no new event
+// storage.
 func TestReadTraceInto(t *testing.T) {
 	tr := &Trace{
 		Name: "serialize-into", Events: testEvents(257),
@@ -85,19 +87,19 @@ func TestReadTraceInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	scratch := make([]Event, 0, 512)
-	into, err := ReadTraceInto(bytes.NewReader(raw), scratch)
+	into, err := ReadTraceFrom(bufio.NewReader(bytes.NewReader(raw)), scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, into) {
-		t.Fatal("ReadTraceInto decoded a different trace than ReadTrace")
+		t.Fatal("ReadTraceFrom decoded a different trace than ReadTrace")
 	}
 	if &into.Events[0] != &scratch[:1][0] {
 		t.Error("sufficient scratch capacity was not reused")
 	}
 
 	// Recycling the (possibly grown) slice must keep the same storage.
-	again, err := ReadTraceInto(bytes.NewReader(raw), into.Events[:0])
+	again, err := ReadTraceFrom(bufio.NewReader(bytes.NewReader(raw)), into.Events[:0])
 	if err != nil {
 		t.Fatal(err)
 	}

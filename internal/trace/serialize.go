@@ -96,23 +96,19 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadTrace deserialises a trace written by WriteTo.
-func ReadTrace(r io.Reader) (*Trace, error) { return ReadTraceInto(r, nil) }
-
-// ReadTraceInto is ReadTrace decoding into the caller's scratch event
-// slice: events are appended to scratch[:0], reusing its backing array
-// when the capacity suffices. The serving hot path feeds sync.Pool-ed
-// buffers through it so steady-state batch decoding allocates nothing.
-// The returned trace's Events aliases scratch's (possibly grown) array;
-// ownership of both stays with the caller.
-func ReadTraceInto(r io.Reader, scratch []Event) (*Trace, error) {
-	return ReadTraceFrom(bufio.NewReader(r), scratch)
+func ReadTrace(r io.Reader) (*Trace, error) {
+	return ReadTraceFrom(bufio.NewReader(r), nil)
 }
 
-// ReadTraceFrom is ReadTraceInto reading through the caller's
-// bufio.Reader, which must already wrap the underlying stream (Reset a
-// pooled reader onto it). The serving hot path pools both the reader and
-// the event scratch, so steady-state batch decoding allocates nothing;
-// decoding consumes exactly the trace's bytes from the reader.
+// ReadTraceFrom deserialises a trace through the caller's bufio.Reader,
+// which must already wrap the underlying stream (Reset a pooled reader
+// onto it), into the caller's scratch event slice: events are appended to
+// scratch[:0], reusing its backing array when the capacity suffices. The
+// returned trace's Events aliases scratch's (possibly grown) array;
+// ownership of both stays with the caller. The serving hot path pools
+// both the reader and the event scratch, so steady-state batch decoding
+// allocates nothing; decoding consumes exactly the trace's bytes from the
+// reader.
 func ReadTraceFrom(br *bufio.Reader, scratch []Event) (*Trace, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {

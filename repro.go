@@ -80,8 +80,8 @@ type (
 	// EvalConfig configures trace-driven evaluation.
 	EvalConfig = core.EvalConfig
 	// Evaluator is the incremental trace-driven evaluator: feed events
-	// one at a time (Feed) or through the devirtualized batch fast path
-	// (FeedBatch) and read metrics between feeds.
+	// one at a time (Feed) or in batches (FeedBatch) and read metrics
+	// between feeds.
 	Evaluator = core.Evaluator
 	// Metrics is the result of a trace-driven evaluation.
 	Metrics = core.Metrics
