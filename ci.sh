@@ -108,6 +108,8 @@ echo "== bench smoke =="
 # One iteration of each feed benchmark: catches a broken or panicking
 # fast path without paying for a real measurement.
 go test -run='^$' -bench BenchmarkFeed -benchtime 1x .
+# The same for the timing model: a full run and a replay alone.
+go test -run '^$' -bench 'Benchmark(Run|Replay)$' -benchtime 1x ./internal/pipeline
 
 echo "== bpbench regression gate =="
 # Quick grid against the committed baseline; any metric more than 25%

@@ -4,8 +4,9 @@
 //
 // The emulator is both the correctness oracle (original and if-converted
 // programs must produce identical results) and the functional front half of
-// the timing simulator: the pipeline model in internal/pipeline calls Step
-// and charges time for each StepInfo it receives.
+// the timing simulator: internal/pipeline's Record calls Step once per
+// dynamic instruction and keeps the outcome bits of each StepInfo, and the
+// timing model charges time by replaying that recording per configuration.
 package emu
 
 import (

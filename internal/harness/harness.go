@@ -136,7 +136,7 @@ type Suite struct {
 	Entries []*Entry
 	cfg     Config
 
-	mu sync.Mutex // guards extra and cells
+	mu sync.Mutex // guards extra, cells and execs
 	// extra memoizes entries materialized on demand for workloads
 	// outside the fixed suite — the synthetic charz family a spec can
 	// name without changing suite membership (which the golden CSVs of
@@ -145,6 +145,9 @@ type Suite struct {
 	// cells memoizes evaluated grid points by resolved configuration,
 	// so experiments sharing a suite compute each distinct point once.
 	cells map[pointKey]*memoCell
+	// execs memoizes each program's recorded execution, so the timing
+	// cells of every configuration replay one recording.
+	execs map[execKey]*memoExec
 }
 
 // lazyEntry is one on-demand entry, built at most once.

@@ -99,3 +99,37 @@ func TestCellMemoSharing(t *testing.T) {
 		}
 	}
 }
+
+// TestExecMemoSharing pins the recording memo: a full E1–E15
+// regeneration computes 245 timing cells, and they replay only 48
+// distinct program executions (the entries' original, converted and
+// profiled programs at the suite's one step limit), each recorded once.
+func TestExecMemoSharing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment suite in -short mode")
+	}
+	s := freshSuite(t)
+	for _, e := range All() {
+		if _, err := e.Run(context.Background(), s, Config{}.withDefaults()); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	timing := 0
+	for k := range s.cells {
+		if k.timing {
+			timing++
+		}
+	}
+	recorded := 0
+	for _, me := range s.execs {
+		if me.x != nil {
+			recorded++
+		}
+	}
+	if timing != 245 || len(s.execs) != 48 || recorded != 48 {
+		t.Fatalf("%d timing cells replayed %d memoized executions (%d recorded), want 245 cells over 48",
+			timing, len(s.execs), recorded)
+	}
+}

@@ -518,7 +518,7 @@ func (s *Suite) cell(e *Entry, v Variant, limit uint64) (Cell, error) {
 		s.cells[k] = mc
 	}
 	s.mu.Unlock()
-	mc.once.Do(func() { mc.c, mc.err = evalCell(k) })
+	mc.once.Do(func() { mc.c, mc.err = s.evalCell(k) })
 	if mc.err != nil {
 		return Cell{}, fmt.Errorf("variant %q on %s: %w", v.Key, e.Name, mc.err)
 	}
@@ -527,22 +527,64 @@ func (s *Suite) cell(e *Entry, v Variant, limit uint64) (Cell, error) {
 	return c, nil
 }
 
+// execKey identifies one recorded program execution: which program of
+// which entry, under which step limit.
+type execKey struct {
+	entry *Entry
+	trace TraceKind
+	limit uint64
+}
+
+// memoExec is one memoized recording, made at most once.
+type memoExec struct {
+	once sync.Once
+	x    *pipeline.Exec
+	err  error
+}
+
+// exec returns the recorded execution k names, recording it on first
+// request. The recording is read-only, so every
+// timing cell of that program replays the same one, concurrently if
+// need be.
+func (s *Suite) exec(k execKey) (*pipeline.Exec, error) {
+	s.mu.Lock()
+	me, ok := s.execs[k]
+	if !ok {
+		if s.execs == nil {
+			s.execs = make(map[execKey]*memoExec)
+		}
+		me = new(memoExec)
+		s.execs[k] = me
+	}
+	s.mu.Unlock()
+	me.once.Do(func() {
+		prg, err := programFor(k.entry, k.trace)
+		if err != nil {
+			me.err = err
+			return
+		}
+		me.x, me.err = pipeline.Record(prg, k.limit)
+	})
+	return me.x, me.err
+}
+
 // evalCell evaluates one resolved grid point: a fresh predictor from its
-// spec, run over the selected artifact of the workload.
-func evalCell(k pointKey) (Cell, error) {
+// spec, run over the selected artifact of the workload. Timing points
+// replay the program's memoized recording.
+func (s *Suite) evalCell(k pointKey) (Cell, error) {
 	p, err := k.pred.New()
 	if err != nil {
 		return Cell{}, err
 	}
 
 	if k.timing {
-		prg, err := programFor(k.entry, k.trace)
+		x, err := s.exec(execKey{entry: k.entry, trace: k.trace, limit: k.limit})
 		if err != nil {
 			return Cell{}, err
 		}
 		pc := k.pipe
 		pc.Predictor = p
-		st, err := pipeline.Run(prg, pc, k.limit)
+		st, err := x.Run(pc)
 		return Cell{P: st}, err
 	}
 

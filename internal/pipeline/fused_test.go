@@ -35,6 +35,17 @@ func hideFused(p bpred.Predictor) bpred.Predictor {
 // partial stats, which must agree just the same.
 const diffBudget = 30_000
 
+// timingConfigs is a spread of machine configurations that together
+// switch on every filter, PGU, width and RAS option.
+var timingConfigs = []Config{
+	{},
+	{UseSFPF: true, PGU: core.PGUAll},
+	{UseSFPF: true, FilterTrue: true, PGU: core.PGUBranchGuards},
+	{UseSFPF: true, FilterTrue: true, TrainFiltered: true, PGU: core.PGURegionGuards, IssueWidth: 4},
+	{IssueWidth: 4, NoRAS: true, PGU: core.PGUAll},
+	{UseSFPF: true, TrainFiltered: true, NoRAS: true},
+}
+
 // suitePrograms returns every suite workload, original and if-converted.
 func suitePrograms(t *testing.T) []*prog.Program {
 	t.Helper()
@@ -52,20 +63,12 @@ func suitePrograms(t *testing.T) []*prog.Program {
 
 // TestFusedMatchesSplit runs every registry kind through the timing model
 // twice, once as is and once behind a shim hiding bpred.Fused, over the
-// suite and a spread of machine configurations that together switch on
-// every filter, PGU, width and RAS option. The fused resolve-time step
-// must leave every statistic unchanged. Each (kind, program) pair runs two
-// of the configurations, rotating, so every kind meets every
-// configuration and every program meets every configuration.
+// suite and timingConfigs. The fused resolve-time step must leave every
+// statistic unchanged. Each (kind, program) pair runs two of the
+// configurations, rotating, so every kind meets every configuration and
+// every program meets every configuration.
 func TestFusedMatchesSplit(t *testing.T) {
-	configs := []Config{
-		{},
-		{UseSFPF: true, PGU: core.PGUAll},
-		{UseSFPF: true, FilterTrue: true, PGU: core.PGUBranchGuards},
-		{UseSFPF: true, FilterTrue: true, TrainFiltered: true, PGU: core.PGURegionGuards, IssueWidth: 4},
-		{IssueWidth: 4, NoRAS: true, PGU: core.PGUAll},
-		{UseSFPF: true, TrainFiltered: true, NoRAS: true},
-	}
+	configs := timingConfigs
 	progs := suitePrograms(t)
 	if testing.Short() {
 		progs = progs[:4]
