@@ -79,6 +79,7 @@ cov_floor repro/internal/pipeline 90
 cov_floor repro/internal/isa 85
 cov_floor repro/internal/trace 88
 cov_floor repro/internal/emu 88
+cov_floor repro/internal/record 90
 rm -f "$covfile"
 
 echo "== fuzz smoke =="
@@ -108,8 +109,9 @@ echo "== bench smoke =="
 # One iteration of each feed benchmark: catches a broken or panicking
 # fast path without paying for a real measurement.
 go test -run='^$' -bench BenchmarkFeed -benchtime 1x .
-# The same for the timing model: a full run and a replay alone.
-go test -run '^$' -bench 'Benchmark(Run|Replay)$' -benchtime 1x ./internal/pipeline
+# The same for the timing model (a full run and a replay alone) and for
+# deriving traces from a recording.
+go test -run '^$' -bench 'Benchmark(Run|Replay|Derive)$' -benchtime 1x ./internal/pipeline
 
 echo "== bpbench regression gate =="
 # Quick grid against the committed baseline; any metric more than 25%

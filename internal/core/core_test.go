@@ -104,6 +104,17 @@ func TestPGUPolicySelects(t *testing.T) {
 		if got := c.p.Selects(c.ev); got != c.want {
 			t.Errorf("%s.Selects(%+v) = %v, want %v", c.p, c.ev, got, c.want)
 		}
+		// The timing model selects by the static classes alone; on a
+		// define the two forms must agree.
+		if c.ev.Kind == trace.KindPredDef {
+			if got := c.p.SelectsDefine(c.ev.FeedsBranch, c.ev.FeedsRegionBranch); got != c.want {
+				t.Errorf("%s.SelectsDefine(%v, %v) = %v, want %v",
+					c.p, c.ev.FeedsBranch, c.ev.FeedsRegionBranch, got, c.want)
+			}
+		}
+	}
+	if PGUPolicy(9).SelectsDefine(true, true) {
+		t.Error("an unknown policy selects a define")
 	}
 }
 

@@ -61,16 +61,20 @@ func ParsePGUPolicy(s string) (PGUPolicy, error) {
 
 // Selects reports whether the policy inserts this predicate-define event.
 func (p PGUPolicy) Selects(ev *trace.Event) bool {
-	if ev.Kind != trace.KindPredDef {
-		return false
-	}
+	return ev.Kind == trace.KindPredDef && p.SelectsDefine(ev.FeedsBranch, ev.FeedsRegionBranch)
+}
+
+// SelectsDefine reports whether the policy inserts a compare by its
+// static class: whether a destination guards some branch (feedsBranch)
+// or some region branch (feedsRegion). It is the one selection rule of
+// the mechanism: the trace evaluator applies it through Selects, the
+// timing model to the recording's static table.
+func (p PGUPolicy) SelectsDefine(feedsBranch, feedsRegion bool) bool {
 	switch p {
-	case PGUOff:
-		return false
 	case PGURegionGuards:
-		return ev.FeedsRegionBranch
+		return feedsRegion
 	case PGUBranchGuards:
-		return ev.FeedsBranch
+		return feedsBranch
 	case PGUAll:
 		return true
 	}

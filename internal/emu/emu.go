@@ -3,10 +3,11 @@
 // step-by-step execution with nullification of false-guarded instructions.
 //
 // The emulator is both the correctness oracle (original and if-converted
-// programs must produce identical results) and the functional front half of
-// the timing simulator: internal/pipeline's Record calls Step once per
-// dynamic instruction and keeps the outcome bits of each StepInfo, and the
-// timing model charges time by replaying that recording per configuration.
+// programs must produce identical results) and the source of every
+// simulation input: internal/record's Recorder calls StepInto once per
+// dynamic instruction and packs the outcome bits of each StepInfo, and
+// the event traces, execution profiles and timing-model replays all
+// derive from that one recording.
 package emu
 
 import (
@@ -167,15 +168,25 @@ func (m *Machine) setPred(p isa.PReg, v bool, writes *[]PredWrite) {
 
 // Step executes one instruction and returns what happened.
 func (m *Machine) Step() (StepInfo, error) {
+	var info StepInfo
+	err := m.StepInto(&info)
+	return info, err
+}
+
+// StepInto is Step writing its report into *info instead of returning
+// it, so a caller stepping millions of times (the recorder) reuses one
+// StepInfo. When the step cannot start (after a halt, or with the pc
+// outside the program) *info is left unchanged.
+func (m *Machine) StepInto(info *StepInfo) error {
 	if m.Halted {
-		return StepInfo{}, fmt.Errorf("emu: %s: step after halt", m.Prog.Name)
+		return fmt.Errorf("emu: %s: step after halt", m.Prog.Name)
 	}
 	if m.PC < 0 || m.PC >= len(m.Prog.Insts) {
-		return StepInfo{}, m.fault(m.PC, "pc out of range")
+		return m.fault(m.PC, "pc out of range")
 	}
 	idx := m.PC
 	in := &m.Prog.Insts[idx]
-	info := StepInfo{Index: idx, Inst: in, NextPC: idx + 1}
+	*info = StepInfo{Index: idx, Inst: in, NextPC: idx + 1}
 	info.PredWrites = m.predScratch[:0]
 	m.Steps++
 
@@ -198,7 +209,7 @@ func (m *Machine) Step() (StepInfo, error) {
 			m.setPred(in.PD2, false, &info.PredWrites)
 		}
 		m.PC = info.NextPC
-		return info, nil
+		return nil
 	}
 
 	switch in.Op {
@@ -224,13 +235,13 @@ func (m *Machine) Step() (StepInfo, error) {
 	case isa.OpDiv:
 		d := src2()
 		if d == 0 {
-			return info, m.fault(idx, "division by zero")
+			return m.fault(idx, "division by zero")
 		}
 		m.setReg(in.Dst, m.Regs[in.Src1]/d)
 	case isa.OpMod:
 		d := src2()
 		if d == 0 {
-			return info, m.fault(idx, "modulo by zero")
+			return m.fault(idx, "modulo by zero")
 		}
 		m.setReg(in.Dst, m.Regs[in.Src1]%d)
 	case isa.OpMov:
@@ -258,12 +269,12 @@ func (m *Machine) Step() (StepInfo, error) {
 	case isa.OpLd:
 		v, err := m.Load(m.Regs[in.Src1] + in.Imm)
 		if err != nil {
-			return info, m.fault(idx, "%v", err)
+			return m.fault(idx, "%v", err)
 		}
 		m.setReg(in.Dst, v)
 	case isa.OpSt:
 		if err := m.Store(m.Regs[in.Src1]+in.Imm, m.Regs[in.Src2]); err != nil {
-			return info, m.fault(idx, "%v", err)
+			return m.fault(idx, "%v", err)
 		}
 	case isa.OpBr:
 		info.Taken = true
@@ -275,7 +286,7 @@ func (m *Machine) Step() (StepInfo, error) {
 	case isa.OpBrr:
 		t := m.Regs[in.Src1]
 		if t < 0 || t >= int64(len(m.Prog.Insts)) {
-			return info, m.fault(idx, "indirect branch to %d out of range", t)
+			return m.fault(idx, "indirect branch to %d out of range", t)
 		}
 		info.Taken = true
 		info.NextPC = int(t)
@@ -300,13 +311,13 @@ func (m *Machine) Step() (StepInfo, error) {
 		m.ExitCode = in.Imm
 		info.Halted = true
 	case isa.OpTrap:
-		return info, m.fault(idx, "trap executed (if-conversion bug or explicit trap)")
+		return m.fault(idx, "trap executed (if-conversion bug or explicit trap)")
 	default:
-		return info, m.fault(idx, "unimplemented opcode %s", in.Op)
+		return m.fault(idx, "unimplemented opcode %s", in.Op)
 	}
 
 	m.PC = info.NextPC
-	return info, nil
+	return nil
 }
 
 // Result summarises a completed run.

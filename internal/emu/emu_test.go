@@ -321,6 +321,30 @@ func TestPCOutOfRangeFaults(t *testing.T) {
 	}
 }
 
+// TestStepIntoReusesInfo: StepInto overwrites the caller's StepInfo on
+// every step it executes, and leaves it unchanged when the step cannot
+// start (here, with the pc past the end).
+func TestStepIntoReusesInfo(t *testing.T) {
+	b := prog.NewBuilder("t")
+	b.Movi(1, 1)
+	b.Cmpi(isa.CmpEQ, 2, 3, 1, 1)
+	m, err := New(b.MustProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info StepInfo
+	if err := m.StepInto(&info); err != nil || info.Index != 0 || info.CmpValue || len(info.PredWrites) != 0 {
+		t.Fatalf("movi: %+v, %v", info, err)
+	}
+	if err := m.StepInto(&info); err != nil || info.Index != 1 || !info.CmpValue || len(info.PredWrites) != 2 {
+		t.Fatalf("cmp: %+v, %v", info, err)
+	}
+	var f *Fault
+	if err := m.StepInto(&info); !errors.As(err, &f) || f.Msg != "pc out of range" || info.Index != 1 {
+		t.Fatalf("past the end: %+v, %v", info, err)
+	}
+}
+
 func TestBrrOutOfRangeFaults(t *testing.T) {
 	b := prog.NewBuilder("t")
 	b.Movi(1, 999)

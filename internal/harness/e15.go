@@ -31,20 +31,14 @@ func e15() Experiment {
 		variants[i] = Variant{Key: k, Trace: TraceOrig, Pred: sim.Spec{Kind: k}}
 	}
 
-	// One characterization pass per grid point, shared by the metric
-	// columns. Table shaping is sequential, so a plain map suffices.
-	reports := make(map[string]*charz.Report)
+	// One characterization pass per grid point, computed on the sweep
+	// pool by Prepare and shared by the metric columns.
 	rep := func(r Row) *charz.Report {
-		if rp, ok := reports[r.Entry.Name]; ok {
-			return rp
-		}
-		rp, err := charz.Characterize(r.Entry.OrigTrace, charz.Options{})
+		rp, err := r.Entry.characterization()
 		if err != nil {
-			// The trace is in memory and the default depths are valid;
-			// failure here is a programming error, like a missing cell.
-			panic(fmt.Sprintf("harness: E15: characterizing %s: %v", r.Entry.Name, err))
+			// Prepare already characterized every entry without error.
+			panic(fmt.Sprintf("harness: E15: %v", err))
 		}
-		reports[r.Entry.Name] = rp
 		return rp
 	}
 
@@ -73,6 +67,10 @@ func e15() Experiment {
 			"the conditioned-entropy columns",
 		Workloads: charz.CatalogNames(),
 		Variants:  variants,
+		Prepare: func(e *Entry) error {
+			_, err := e.characterization()
+			return err
+		},
 		Tables: []TableSpec{{
 			Title:   "E15: misprediction rate by predictor kind (registry defaults) across synthetic points",
 			Shape:   RowsPerEntry,

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/buildinfo"
+	"repro/internal/charz"
 	"repro/internal/core"
 	"repro/internal/ifconv"
 	"repro/internal/profile"
@@ -66,7 +67,13 @@ func newGshare() bpred.Predictor { return defSpec.MustNew() }
 // traces of both. Derived artifacts that only some experiments need —
 // the profile-guided conversion and the unscheduled-compare conversion —
 // are built lazily and memoized, so experiments share one copy instead
-// of re-materializing traces per evaluation.
+// of re-materializing traces per evaluation. Every trace and profile of
+// an entry derives from its suite's one recording of that program.
+//
+// NewSuiteContext fills every field of the fixed suite's entries. An
+// entry outside it (a synthetic workload a spec names) fills Orig and
+// OrigTrace; its conversion and converted trace are built only when a
+// variant asks for them.
 type Entry struct {
 	Name      string
 	Orig      *prog.Program
@@ -75,18 +82,72 @@ type Entry struct {
 	OrigTrace *trace.Trace
 	ConvTrace *trace.Trace
 
-	// limit is the suite's emulation bound, shared by derived artifacts.
+	// suite holds the recording memo every derived artifact reads, and
+	// limit its emulation bound.
+	suite *Suite
 	limit uint64
+
+	convOnce sync.Once
+	convErr  error
 
 	profiledOnce sync.Once
 	profiledProg *prog.Program
 	profiledRep  *ifconv.Report
-	profiledTr   *trace.Trace
 	profiledErr  error
 
 	unschedOnce sync.Once
-	unschedTr   *trace.Trace
+	unschedProg *prog.Program
 	unschedErr  error
+
+	charzOnce sync.Once
+	charzRep  *charz.Report
+	charzErr  error
+}
+
+// converted returns the greedy if-conversion (Conv and Report), made on
+// first use.
+func (e *Entry) converted() (*prog.Program, error) {
+	e.convOnce.Do(func() {
+		var err error
+		if e.Conv, e.Report, err = ifconv.Convert(e.Orig, ifconv.Config{}); err != nil {
+			e.convErr = fmt.Errorf("harness: converting %s: %w", e.Name, err)
+		}
+	})
+	return e.Conv, e.convErr
+}
+
+// profiled returns the profile-guided conversion, profiling the
+// original program's recording on first use.
+func (e *Entry) profiled() (*prog.Program, *ifconv.Report, error) {
+	e.profiledOnce.Do(func() {
+		me, err := e.suite.exec(execKey{entry: e, trace: TraceOrig, limit: e.limit})
+		if err != nil {
+			e.profiledErr = err
+			return
+		}
+		prof, err := profile.FromRecording(me.x, newGshare())
+		if err != nil {
+			e.profiledErr = fmt.Errorf("harness: profiling %s: %w", e.Name, err)
+			return
+		}
+		e.profiledProg, e.profiledRep, err = ifconv.Convert(e.Orig, ifconv.Config{Profile: prof})
+		if err != nil {
+			e.profiledErr = fmt.Errorf("harness: profile-converting %s: %w", e.Name, err)
+		}
+	})
+	return e.profiledProg, e.profiledRep, e.profiledErr
+}
+
+// unscheduled returns greedy conversion without compare scheduling,
+// made on first use.
+func (e *Entry) unscheduled() (*prog.Program, error) {
+	e.unschedOnce.Do(func() {
+		var err error
+		if e.unschedProg, _, err = ifconv.Convert(e.Orig, ifconv.Config{NoCompareScheduling: true}); err != nil {
+			e.unschedErr = fmt.Errorf("harness: unscheduled-converting %s: %w", e.Name, err)
+		}
+	})
+	return e.unschedProg, e.unschedErr
 }
 
 // Profiled returns the workload's profile-guided if-conversion (the
@@ -95,40 +156,48 @@ type Entry struct {
 // for the suite's lifetime, so E2c, E11, and any future experiment share
 // one profile+convert+trace instead of redoing it per experiment.
 func (e *Entry) Profiled() (*prog.Program, *ifconv.Report, *trace.Trace, error) {
-	e.profiledOnce.Do(func() {
-		prof, err := profile.Collect(e.Orig, newGshare(), e.limit)
-		if err != nil {
-			e.profiledErr = fmt.Errorf("harness: profiling %s: %w", e.Name, err)
-			return
-		}
-		e.profiledProg, e.profiledRep, err = ifconv.Convert(e.Orig, ifconv.Config{Profile: prof})
-		if err != nil {
-			e.profiledErr = fmt.Errorf("harness: profile-converting %s: %w", e.Name, err)
-			return
-		}
-		e.profiledTr, err = trace.Collect(e.profiledProg, e.limit)
-		if err != nil {
-			e.profiledErr = fmt.Errorf("harness: tracing %s (profiled): %w", e.Name, err)
-		}
-	})
-	return e.profiledProg, e.profiledRep, e.profiledTr, e.profiledErr
+	p, rep, err := e.profiled()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tr, err := e.suite.trace(execKey{entry: e, trace: TraceProfiled, limit: e.limit})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return p, rep, tr, nil
 }
 
 // Unscheduled returns the trace of greedy if-conversion without compare
 // scheduling (the E10 ablation), memoized like Profiled.
 func (e *Entry) Unscheduled() (*trace.Trace, error) {
-	e.unschedOnce.Do(func() {
-		raw, _, err := ifconv.Convert(e.Orig, ifconv.Config{NoCompareScheduling: true})
+	return e.suite.trace(execKey{entry: e, trace: TraceUnscheduled, limit: e.limit})
+}
+
+// characterization returns the charz report of the original trace,
+// computed on first use.
+func (e *Entry) characterization() (*charz.Report, error) {
+	e.charzOnce.Do(func() {
+		tr, err := e.suite.trace(execKey{entry: e, trace: TraceOrig, limit: e.limit})
 		if err != nil {
-			e.unschedErr = fmt.Errorf("harness: unscheduled-converting %s: %w", e.Name, err)
+			e.charzErr = err
 			return
 		}
-		e.unschedTr, err = trace.Collect(raw, e.limit)
-		if err != nil {
-			e.unschedErr = fmt.Errorf("harness: tracing %s (unscheduled): %w", e.Name, err)
+		if e.charzRep, err = charz.Characterize(tr, charz.Options{}); err != nil {
+			e.charzErr = fmt.Errorf("harness: characterizing %s: %w", e.Name, err)
 		}
 	})
-	return e.unschedTr, e.unschedErr
+	return e.charzRep, e.charzErr
+}
+
+// label names one of the entry's programs in error messages.
+func (e *Entry) label(k TraceKind) string {
+	switch k {
+	case TraceOrig:
+		return e.Name
+	case TraceConv:
+		return e.Name + " (converted)"
+	}
+	return e.Name + " (" + k.String() + ")"
 }
 
 // Suite is the prepared workload set shared by all experiments.
@@ -145,8 +214,8 @@ type Suite struct {
 	// cells memoizes evaluated grid points by resolved configuration,
 	// so experiments sharing a suite compute each distinct point once.
 	cells map[pointKey]*memoCell
-	// execs memoizes each program's recorded execution, so the timing
-	// cells of every configuration replay one recording.
+	// execs memoizes each program's one recorded execution and the
+	// views derived from it: its trace, and the timing model's replay.
 	execs map[execKey]*memoExec
 }
 
@@ -165,43 +234,54 @@ func NewSuite(cfg Config) (*Suite, error) {
 	return NewSuiteContext(context.Background(), cfg)
 }
 
-// NewSuiteContext is NewSuite bounded by a context. Workloads are
-// prepared on the engine's worker pool (they are independent); the
-// resulting entry order is the deterministic workload order regardless
-// of scheduling.
+// NewSuiteContext is NewSuite bounded by a context. Workloads are built
+// and converted on the engine's worker pool, then every program of the
+// suite, original and converted, is recorded and traced as a job of its
+// own; the resulting entry order is the deterministic workload order
+// regardless of scheduling.
 func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
-	cfg = cfg.withDefaults()
+	s := &Suite{cfg: cfg.withDefaults()}
 	entries, err := sim.Map(ctx, workload.Suite(), 0,
 		func(_ context.Context, w workload.Workload) (*Entry, error) {
-			return buildEntry(w, cfg)
+			e := s.newEntry(w)
+			if _, err := e.converted(); err != nil {
+				return nil, err
+			}
+			return e, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{cfg: cfg, Entries: entries}, nil
+	keys := make([]execKey, 0, 2*len(entries))
+	for _, e := range entries {
+		keys = append(keys,
+			execKey{entry: e, trace: TraceOrig, limit: e.limit},
+			execKey{entry: e, trace: TraceConv, limit: e.limit})
+	}
+	traces, err := sim.Map(ctx, keys, 0, func(_ context.Context, k execKey) (*trace.Trace, error) {
+		return s.trace(k)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range entries {
+		e.OrigTrace, e.ConvTrace = traces[2*i], traces[2*i+1]
+	}
+	s.Entries = entries
+	return s, nil
 }
 
-// buildEntry prepares one workload: build, convert, trace both forms.
-func buildEntry(w workload.Workload, cfg Config) (*Entry, error) {
-	e := &Entry{Name: w.Name, Orig: w.Build(), limit: cfg.Limit}
-	var err error
-	if e.Conv, e.Report, err = ifconv.Convert(e.Orig, ifconv.Config{}); err != nil {
-		return nil, fmt.Errorf("harness: converting %s: %w", w.Name, err)
-	}
-	if e.OrigTrace, err = trace.Collect(e.Orig, cfg.Limit); err != nil {
-		return nil, fmt.Errorf("harness: tracing %s: %w", w.Name, err)
-	}
-	if e.ConvTrace, err = trace.Collect(e.Conv, cfg.Limit); err != nil {
-		return nil, fmt.Errorf("harness: tracing %s (converted): %w", w.Name, err)
-	}
-	return e, nil
+// newEntry starts an entry for w: its original program, bound to s.
+func (s *Suite) newEntry(w workload.Workload) *Entry {
+	return &Entry{Name: w.Name, Orig: w.Build(), suite: s, limit: s.cfg.Limit}
 }
 
 // extraEntries resolves workload names outside the fixed suite — the
 // synthetic charz family — to prepared entries, in the order given.
 // Names not prepared yet are built concurrently on the engine's worker
 // pool and memoized for the suite's lifetime; a name no workload
-// answers to fails the call before anything is built or memoized.
+// answers to fails the call before anything is built or memoized. An
+// extra entry records and traces only its original program up front.
 func (s *Suite) extraEntries(ctx context.Context, names []string) ([]*Entry, error) {
 	slots := make([]*lazyEntry, len(names))
 	s.mu.Lock()
@@ -226,7 +306,12 @@ func (s *Suite) extraEntries(ctx context.Context, names []string) ([]*Entry, err
 	s.mu.Unlock()
 
 	return sim.Map(ctx, slots, 0, func(_ context.Context, le *lazyEntry) (*Entry, error) {
-		le.once.Do(func() { le.e, le.err = buildEntry(le.w, s.cfg) })
+		le.once.Do(func() {
+			e := s.newEntry(le.w)
+			if e.OrigTrace, le.err = s.trace(execKey{entry: e, trace: TraceOrig, limit: e.limit}); le.err == nil {
+				le.e = e
+			}
+		})
 		if le.err != nil {
 			// Forget the failed build so a later call retries it.
 			s.mu.Lock()

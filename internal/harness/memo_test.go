@@ -2,7 +2,12 @@ package harness
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -101,9 +106,11 @@ func TestCellMemoSharing(t *testing.T) {
 }
 
 // TestExecMemoSharing pins the recording memo: a full E1–E15
-// regeneration computes 245 timing cells, and they replay only 48
-// distinct program executions (the entries' original, converted and
-// profiled programs at the suite's one step limit), each recorded once.
+// regeneration on a fresh suite emulates 76 programs, each once — the
+// 16 suite workloads in their original, converted, profile-guided and
+// unscheduled forms, plus E15's 12 synthetic originals — and derives
+// every trace and profile from those recordings. Its 245 timing cells
+// replay 48 of them (the original, converted and profiled programs).
 func TestExecMemoSharing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
@@ -122,14 +129,69 @@ func TestExecMemoSharing(t *testing.T) {
 			timing++
 		}
 	}
-	recorded := 0
+	recorded, replayed := 0, 0
 	for _, me := range s.execs {
 		if me.x != nil {
 			recorded++
 		}
+		if me.timing != nil {
+			replayed++
+		}
 	}
-	if timing != 245 || len(s.execs) != 48 || recorded != 48 {
-		t.Fatalf("%d timing cells replayed %d memoized executions (%d recorded), want 245 cells over 48",
-			timing, len(s.execs), recorded)
+	if len(s.execs) != 76 || recorded != 76 || timing != 245 || replayed != 48 {
+		t.Fatalf("%d memoized executions (%d recorded); %d timing cells replayed %d of them; want 76, 76, 245 and 48",
+			len(s.execs), recorded, timing, replayed)
+	}
+}
+
+// TestSuiteExecIsTheOnlyEmulation reads the package's own source: the
+// one call that runs the emulator is record.Program inside Suite.exec,
+// and nothing reaches for the collectors that would emulate again
+// (trace.Collect, trace.Stream, profile.Collect, pipeline.Record,
+// pipeline.Run) or for the emulator itself.
+func TestSuiteExecIsTheOnlyEmulation(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{
+		"trace.Collect": true, "trace.Stream": true, "profile.Collect": true,
+		"pipeline.Record": true, "pipeline.Run": true,
+		"emu.New": true, "emu.RunProgram": true,
+	}
+	var recordCalls []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					x, ok := sel.X.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					name := x.Name + "." + sel.Sel.Name
+					if banned[name] {
+						t.Errorf("%s calls %s", fset.Position(sel.Pos()), name)
+					}
+					if name == "record.Program" {
+						recordCalls = append(recordCalls, fn.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(recordCalls) != 1 || recordCalls[0] != "exec" {
+		t.Errorf("record.Program called from %v, want exactly once, from Suite.exec", recordCalls)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
+	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -240,7 +241,11 @@ type Spec struct {
 	// Workloads selects a subset of the suite by name; nil means all.
 	Workloads []string
 	Variants  []Variant
-	Tables    []TableSpec
+	// Prepare, when set, runs once per selected workload on the sweep
+	// pool after the grid is evaluated and before any table is shaped:
+	// per-workload work the columns share (E15's characterization).
+	Prepare func(*Entry) error
+	Tables  []TableSpec
 }
 
 // Experiment adapts the Spec to the experiment registry. The returned
@@ -325,6 +330,14 @@ func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, 
 	})
 	if err != nil {
 		return nil, err
+	}
+
+	if sp.Prepare != nil {
+		if _, err := sim.Map(ctx, entries, 0, func(_ context.Context, e *Entry) (struct{}, error) {
+			return struct{}{}, sp.Prepare(e)
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	g := &grid{spec: sp, entries: entries, cells: make(map[gridKey]Cell, len(cells))}
@@ -535,18 +548,26 @@ type execKey struct {
 	limit uint64
 }
 
-// memoExec is one memoized recording, made at most once.
+// memoExec is one memoized recording, made at most once, and the views
+// derived from it, each made at most once on first request.
 type memoExec struct {
 	once sync.Once
-	x    *pipeline.Exec
+	x    *record.Recording
 	err  error
+
+	traceOnce sync.Once
+	tr        *trace.Trace
+	trErr     error
+
+	timingOnce sync.Once
+	timing     *pipeline.Exec
 }
 
 // exec returns the recorded execution k names, recording it on first
-// request. The recording is read-only, so every
-// timing cell of that program replays the same one, concurrently if
-// need be.
-func (s *Suite) exec(k execKey) (*pipeline.Exec, error) {
+// request. It is the harness's only emulator run: every trace, profile
+// and timing cell of the program derives from this one recording, which
+// is read-only and so shared, concurrently if need be.
+func (s *Suite) exec(k execKey) (*memoExec, error) {
 	s.mu.Lock()
 	me, ok := s.execs[k]
 	if !ok {
@@ -563,14 +584,42 @@ func (s *Suite) exec(k execKey) (*pipeline.Exec, error) {
 			me.err = err
 			return
 		}
-		me.x, me.err = pipeline.Record(prg, k.limit)
+		if me.x, err = record.Program(prg, k.limit); err != nil {
+			me.err = fmt.Errorf("harness: recording %s: %w", k.entry.label(k.trace), err)
+		}
 	})
-	return me.x, me.err
+	return me, me.err
+}
+
+// trace returns the trace derived from k's recording, memoized with it.
+func (s *Suite) trace(k execKey) (*trace.Trace, error) {
+	me, err := s.exec(k)
+	if err != nil {
+		return nil, err
+	}
+	me.traceOnce.Do(func() {
+		if me.tr, err = trace.FromRecording(me.x); err != nil {
+			me.trErr = fmt.Errorf("harness: tracing %s: %w", k.entry.label(k.trace), err)
+		}
+	})
+	return me.tr, me.trErr
+}
+
+// timing returns k's recording prepared for timing replays, memoized
+// with it.
+func (s *Suite) timing(k execKey) (*pipeline.Exec, error) {
+	me, err := s.exec(k)
+	if err != nil {
+		return nil, err
+	}
+	me.timingOnce.Do(func() { me.timing = pipeline.NewExec(me.x) })
+	return me.timing, nil
 }
 
 // evalCell evaluates one resolved grid point: a fresh predictor from its
 // spec, run over the selected artifact of the workload. Timing points
-// replay the program's memoized recording.
+// replay the program's memoized recording; trace points evaluate the
+// trace derived from it at the suite's step limit.
 func (s *Suite) evalCell(k pointKey) (Cell, error) {
 	p, err := k.pred.New()
 	if err != nil {
@@ -578,7 +627,7 @@ func (s *Suite) evalCell(k pointKey) (Cell, error) {
 	}
 
 	if k.timing {
-		x, err := s.exec(execKey{entry: k.entry, trace: k.trace, limit: k.limit})
+		x, err := s.timing(execKey{entry: k.entry, trace: k.trace, limit: k.limit})
 		if err != nil {
 			return Cell{}, err
 		}
@@ -588,7 +637,7 @@ func (s *Suite) evalCell(k pointKey) (Cell, error) {
 		return Cell{P: st}, err
 	}
 
-	tr, err := traceFor(k.entry, k.trace)
+	tr, err := s.trace(execKey{entry: k.entry, trace: k.trace, limit: k.entry.limit})
 	if err != nil {
 		return Cell{}, err
 	}
@@ -597,36 +646,20 @@ func (s *Suite) evalCell(k pointKey) (Cell, error) {
 	return Cell{M: core.Evaluate(tr, ec)}, nil
 }
 
-// traceFor resolves a TraceKind to the entry's trace, materializing the
-// memoized derived artifacts on first use.
-func traceFor(e *Entry, k TraceKind) (*trace.Trace, error) {
-	switch k {
-	case TraceConv:
-		return e.ConvTrace, nil
-	case TraceOrig:
-		return e.OrigTrace, nil
-	case TraceProfiled:
-		_, _, tr, err := e.Profiled()
-		return tr, err
-	case TraceUnscheduled:
-		return e.Unscheduled()
-	}
-	return nil, fmt.Errorf("unknown trace kind %d", int(k))
-}
-
-// programFor resolves a TraceKind to the program a pipeline variant
-// runs. Profiled() traces the program before returning it, so by the
-// time a program is shared across concurrent pipeline cells it is
-// already label-resolved (see prog.Resolve).
+// programFor resolves a TraceKind to the entry's program, building the
+// memoized conversions on first use. Each program is resolved (see
+// prog.Resolve) by its one recording before any view shares it.
 func programFor(e *Entry, k TraceKind) (*prog.Program, error) {
 	switch k {
 	case TraceConv:
-		return e.Conv, nil
+		return e.converted()
 	case TraceOrig:
 		return e.Orig, nil
 	case TraceProfiled:
-		p, _, _, err := e.Profiled()
+		p, _, err := e.profiled()
 		return p, err
+	case TraceUnscheduled:
+		return e.unscheduled()
 	}
-	return nil, fmt.Errorf("no program for trace kind %s", k)
+	return nil, fmt.Errorf("unknown trace kind %d", int(k))
 }

@@ -60,6 +60,14 @@ func (in *Inst) IsBranch() bool {
 	return false
 }
 
+// IsCondBranch reports whether the instruction is a conditional branch,
+// the class a direction predictor sees: a guarded br or brl (taken iff
+// its guard is true), or a cloop (a true guard still tests the counter).
+// A p0-guarded br or brl always redirects and needs no prediction.
+func (in *Inst) IsCondBranch() bool {
+	return (in.Op == OpBr || in.Op == OpBrl) && in.QP != P0 || in.Op == OpCloop
+}
+
 // IsDirectBranch reports whether the instruction is a branch with a static
 // target.
 func (in *Inst) IsDirectBranch() bool {

@@ -133,6 +133,23 @@ func TestInstClassifiers(t *testing.T) {
 	if _, ok := st.RegDest(); ok {
 		t.Error("st should have no register destination")
 	}
+	for _, c := range []struct {
+		in   Inst
+		want bool
+	}{
+		{Inst{Op: OpBr, QP: 3}, true},
+		{Inst{Op: OpBrl, QP: 3}, true},
+		{Inst{Op: OpCloop}, true},
+		{Inst{Op: OpCloop, QP: 3}, true},
+		{Inst{Op: OpBr}, false},  // p0-guarded: always taken
+		{Inst{Op: OpBrl}, false}, // an unconditional call
+		{Inst{Op: OpBrr, QP: 3}, false},
+		{Inst{Op: OpCmp, QP: 3}, false},
+	} {
+		if got := c.in.IsCondBranch(); got != c.want {
+			t.Errorf("%s IsCondBranch = %v, want %v", c.in.String(), got, c.want)
+		}
+	}
 }
 
 // TestOperandHelpersDoNotAllocate pins the operand helpers at zero heap

@@ -84,7 +84,10 @@ func CheckReplayEquivalence(c Case) error {
 
 // CheckCollectStream verifies that trace.Collect and direct consumption
 // of trace.Stream produce the identical event sequence and run counts
-// for the program.
+// for the program. The two paths share the per-step event rule but not
+// its bookkeeping: Collect records the whole run first and derives the
+// events from the recording in one pass, Stream derives each event as
+// its step executes and keeps no recording.
 func CheckCollectStream(p *prog.Program, limit uint64) error {
 	tr, err := trace.Collect(p, limit)
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ifconv"
 	"repro/internal/prog"
+	"repro/internal/record"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -78,18 +80,22 @@ func TestRecordRetainsFourBytesPerStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if uint64(len(x.steps)) != st.Insts || len(x.steps) <= recordChunk {
+		steps := x.x.Steps
+		if uint64(len(steps)) != st.Insts || len(steps) <= stagingChunk {
 			t.Fatalf("%s: %d recorded steps for %d insts (want more than one %d-step chunk)",
-				c.name, len(x.steps), st.Insts, recordChunk)
+				c.name, len(steps), st.Insts, stagingChunk)
 		}
-		if cap(x.steps) != len(x.steps) {
-			t.Errorf("%s: steps hold capacity %d for %d steps", c.name, cap(x.steps), len(x.steps))
+		if cap(steps) != len(steps) {
+			t.Errorf("%s: steps hold capacity %d for %d steps", c.name, cap(steps), len(steps))
 		}
-		if sz := unsafe.Sizeof(x.steps[0]); sz != 4 {
+		if sz := unsafe.Sizeof(steps[0]); sz != 4 {
 			t.Errorf("%s: %d bytes per recorded step, want 4", c.name, sz)
 		}
 	}
 }
+
+// stagingChunk is the size, in steps, of record.Program's staging chunks.
+const stagingChunk = 1 << 12
 
 // BenchmarkRun times the timing model on an if-converted suite kernel
 // with the filter and PGU on, the shape the speedup experiments run:
@@ -139,4 +145,54 @@ func benchProgram(b *testing.B) (*prog.Program, Config) {
 	cfg := DefaultConfig(bpred.NewGShare(12, 8))
 	cfg.UseSFPF, cfg.PGU = true, core.PGUAll
 	return p, cfg
+}
+
+// BenchmarkDerive times the trace-side front end on the same kernel as
+// BenchmarkRun, in ns per emulated instruction: "collect" is one
+// recording plus one derive pass (trace.Collect, what a suite pays per
+// program), "derive" the derive pass alone over a finished recording
+// (what a trace costs once the program is recorded for timing anyway),
+// and "stream" drains trace.Stream, the live emulator loop that derives
+// each event as its step executes and keeps no recording.
+func BenchmarkDerive(b *testing.B) {
+	p, _ := benchProgram(b)
+	x, err := record.Program(p, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	insts := float64(len(x.Steps))
+	perInst := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(insts*float64(b.N)), "ns/inst")
+	}
+	b.Run("collect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := trace.Collect(p, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perInst(b)
+	})
+	b.Run("derive", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := trace.FromRecording(x); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perInst(b)
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		var ev trace.Event
+		for i := 0; i < b.N; i++ {
+			r := trace.Stream(p, 0).Replay()
+			for r.Next(&ev) {
+			}
+			if err := r.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perInst(b)
+	})
 }

@@ -12,12 +12,14 @@
 // Branch targets are assumed perfectly predicted (direction-only study,
 // as in the paper).
 //
-// A run has two halves. Record executes the program once on the emulator
-// and keeps what the timing model reads of each step; (*Exec).Run replays
-// that recording under one machine configuration. Run does both, once.
+// A run has two halves. The program's recorded execution
+// (internal/record, via Record or NewExec) supplies every step's outcome;
+// (*Exec).Run replays it under one machine configuration. Run does both,
+// once.
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bpred"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/record"
 )
 
 // Config parameterises one timing run.
@@ -154,187 +157,64 @@ func latency(op isa.Op) uint64 {
 	}
 }
 
-// Each recorded step is one uint32: the static instruction index above
-// flagBits outcome bits.
-const (
-	flagGuard = 1 << iota // the qualifying predicate was true
-	flagTaken             // control was redirected
-	flagCmp               // cmp: the evaluated condition
-	flagPred0             // post-step value of the first non-P0 predicate dest
-	flagPred1             // post-step value of the second
-	flagBits  = iota
-)
-
-// maxRecordInsts is the longest program a recording can index: a static
-// index must fit in the 32-flagBits bits above the outcome flags.
-const maxRecordInsts = 1 << (32 - flagBits)
-
-// recordChunk is the number of steps per staging chunk in Record.
-const recordChunk = 1 << 13
-
 // staticInst is what the timing loop needs of one static instruction,
-// decoded once per program instead of once per dynamic instruction.
+// decoded once per program instead of once per dynamic instruction: the
+// recording's classification plus the timing model's own operand and
+// latency table.
 type staticInst struct {
+	record.Inst
 	lat   uint64 // execute latency
 	srcs  [2]isa.Reg
-	nsrc  int
+	nsrc  uint8
 	dst   isa.Reg
 	wrDst bool // writes dst, a register other than r0, when its guard holds
-	// pdefs are the predicate dests other than P0, in PredDests order;
-	// predDef is set for every predicate define, even one writing only P0.
-	pdefs   [2]isa.PReg
-	npdef   int
-	predDef bool
-	op      isa.Op
-	qp      isa.PReg
-	region  bool
-	// condBranch marks the conditional branches the predictor sees.
-	condBranch bool
-	// cmp only: whether a destination guards some branch or some region
-	// branch, the PGU policies' static selection.
-	guardsBranch, guardsRegion bool
 }
 
-// decode builds the program's static table. Which predicate registers
-// guard (region) branches mirrors trace.Collect's classification, so the
-// PGU policy selects defines the same way a compiler-marked encoding
-// would.
-func decode(p *prog.Program) []staticInst {
-	var branchGuards, regionGuards uint64
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		if in.IsBranch() && in.QP != isa.P0 {
-			branchGuards |= 1 << in.QP
-			if in.Region {
-				regionGuards |= 1 << in.QP
-			}
-		}
-	}
-	insts := make([]staticInst, len(p.Insts))
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		si := &insts[i]
-		si.lat = latency(in.Op)
-		si.srcs, si.nsrc = in.RegSources()
-		d, ok := in.RegDest()
-		si.dst, si.wrDst = d, ok && d != isa.R0
-		pdsts, npd := in.PredDests()
-		for _, pd := range pdsts[:npd] {
-			if pd != isa.P0 {
-				si.pdefs[si.npdef] = pd
-				si.npdef++
-			}
-		}
-		si.predDef = npd > 0
-		si.op, si.qp, si.region = in.Op, in.QP, in.Region
-		si.condBranch = (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0 ||
-			in.Op == isa.OpCloop
-		if in.Op == isa.OpCmp {
-			mask := uint64(1)<<in.PD1 | uint64(1)<<in.PD2
-			si.guardsBranch = branchGuards&mask != 0
-			si.guardsRegion = regionGuards&mask != 0
-		}
-	}
-	return insts
-}
-
-// Exec is one functional execution of a program, recorded once by Record
-// and replayed by Run under any number of timing configurations. The
+// Exec is one functional execution of a program, recorded once and
+// replayed by Run under any number of timing configurations. The
 // paper's mechanisms change what the front end predicts, never what the
 // program computes, so one recording serves every predictor, filter,
-// PGU, width and RAS setting. An Exec is read-only once Record returns;
+// PGU, width and RAS setting. An Exec is read-only once built;
 // concurrent Runs may share it.
 type Exec struct {
+	x     *record.Recording
 	insts []staticInst
-	// steps holds one packed word per executed step: the static index
-	// shifted above the outcome flags. Its length equals its capacity.
-	steps []uint32
-	// next is the pc after the last recorded step; a step's own next pc
-	// is the following step's index.
-	next     int
-	exitCode int64
-	// err is the terminal limit or fault error, nil when the program
-	// halted. faultIdx is the static index of the step that faulted, or
-	// -1 when none did (or the pc left the program).
-	err      error
-	faultIdx int
+	// err is the recording's terminal error as Run reports it: a limit
+	// stop prefixed "pipeline: ", a fault as the emulator raised it.
+	err error
 }
 
 // Record runs the program once on the emulator, for at most limit steps
-// (0 means no limit), and records what the timing model reads of each
-// step. A limit stop or an emulator fault ends the recording; Run
-// reports it after replaying the steps before it. Record fails only when
-// the program cannot run at all or is too long to index.
+// (0 means no limit), and returns its replayable execution. A limit stop
+// or an emulator fault ends the recording; Run reports it after
+// replaying the steps before it. Record fails only when the program
+// cannot run at all or is too long to index.
 func Record(p *prog.Program, limit uint64) (*Exec, error) {
-	return record(p, limit, maxRecordInsts)
-}
-
-// record is Record with the program-length bound as a parameter, so tests
-// can exercise the refusal on a small program.
-func record(p *prog.Program, limit uint64, maxInsts int) (*Exec, error) {
-	if len(p.Insts) > maxInsts {
-		return nil, fmt.Errorf("pipeline: %s has %d instructions; a recording indexes at most %d",
-			p.Name, len(p.Insts), maxInsts)
-	}
-	m, err := emu.New(p)
+	x, err := record.Program(p, limit)
 	if err != nil {
 		return nil, err
 	}
-	x := &Exec{insts: decode(p), faultIdx: -1}
+	return NewExec(x), nil
+}
 
-	// Steps are staged in fixed-size chunks and copied once into an
-	// exact-size slice, as trace.Collect stages events: no growth copies,
-	// no spare capacity kept for the suite's lifetime.
-	var full [][]uint32
-	chunk := make([]uint32, recordChunk)
-	n := 0
-	for !m.Halted {
-		if limit > 0 && m.Steps >= limit {
-			x.err = fmt.Errorf("pipeline: %w (%d steps in %s)", emu.ErrLimit, m.Steps, p.Name)
-			break
-		}
-		idx := m.PC
-		si, err := m.Step()
-		if err != nil {
-			x.err = err
-			if idx >= 0 && idx < len(x.insts) {
-				x.faultIdx = idx
-			}
-			break
-		}
-		w := uint32(idx) << flagBits
-		if si.GuardTrue {
-			w |= flagGuard
-		}
-		if si.Taken {
-			w |= flagTaken
-		}
-		if si.CmpValue {
-			w |= flagCmp
-		}
-		in := &x.insts[idx]
-		for j, pd := range in.pdefs[:in.npdef] {
-			if m.Preds[pd] {
-				w |= flagPred0 << j
-			}
-		}
-		chunk[n] = w
-		if n++; n == recordChunk {
-			full = append(full, chunk)
-			chunk = make([]uint32, recordChunk)
-			n = 0
-		}
+// NewExec adds the timing model's static table to a recording, so Run
+// can replay it. The recording is shared, not copied.
+func NewExec(x *record.Recording) *Exec {
+	e := &Exec{x: x, insts: make([]staticInst, len(x.Insts)), err: x.Err}
+	if errors.Is(x.Err, emu.ErrLimit) {
+		e.err = fmt.Errorf("pipeline: %w", x.Err)
 	}
-	x.next, x.exitCode = m.PC, m.ExitCode
-	if total := len(full)*recordChunk + n; total > 0 {
-		x.steps = make([]uint32, total)
-		off := 0
-		for _, c := range full {
-			off += copy(x.steps[off:], c)
-		}
-		copy(x.steps[off:], chunk[:n])
+	for i := range x.Prog.Insts {
+		in := &x.Prog.Insts[i]
+		si := &e.insts[i]
+		si.Inst = x.Insts[i]
+		si.lat = latency(in.Op)
+		srcs, nsrc := in.RegSources()
+		si.srcs, si.nsrc = srcs, uint8(nsrc)
+		d, ok := in.RegDest()
+		si.dst, si.wrDst = d, ok && d != isa.R0
 	}
-	return x, nil
+	return e
 }
 
 // pendingResolve is one in-flight predicate define. A define writes at
@@ -363,7 +243,7 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 // Run replays the recorded execution on the timing model configured by
 // cfg. A recording that ended in a limit stop or a fault returns the
 // statistics accumulated up to it together with the recorded error.
-func (x *Exec) Run(cfg Config) (Stats, error) {
+func (e *Exec) Run(cfg Config) (Stats, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Predictor == nil {
 		return Stats{}, fmt.Errorf("pipeline: no predictor configured")
@@ -393,15 +273,16 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 	pending := make([]pendingResolve, 0, 64)
 	head := 0
 
-	steps := x.steps
+	steps := e.x.Steps
+	fault, faulted := e.x.Faulted()
 	for i := 0; ; i++ {
 		// A faulting step is fetched and issued like any other, then
 		// stops the run where the emulator faulted.
-		var w uint32
+		var w record.Step
 		if i < len(steps) {
 			w = steps[i]
-		} else if x.faultIdx >= 0 {
-			w = uint32(x.faultIdx) << flagBits
+		} else if faulted {
+			w = fault
 		} else {
 			break
 		}
@@ -418,22 +299,22 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 			}
 		}
 
-		idx := int(w >> flagBits)
-		in := &x.insts[idx]
+		idx := w.Index()
+		in := &e.insts[idx]
 
 		// Fetch-stage bookkeeping.
 		var filtered, filteredTrue bool
-		if in.condBranch {
+		if in.Event == record.Branch {
 			st.Branches++
-			if in.region {
+			if in.Region {
 				st.RegionBranches++
 			}
-			if known, val := sfpf.Lookup(in.qp); cfg.UseSFPF && in.qp != isa.P0 && known {
+			if known, val := sfpf.Lookup(in.QP); cfg.UseSFPF && in.QP != isa.P0 && known {
 				filtered = !val
-				filteredTrue = val && cfg.FilterTrue && in.op != isa.OpCloop // guard implies taken
+				filteredTrue = val && cfg.FilterTrue && in.GuardImpliesTaken
 			}
 		}
-		sfpf.FetchDef(in.pdefs[:in.npdef]...)
+		sfpf.FetchDef(in.PDefs[:in.NPDef]...)
 
 		// Issue: stall until source operands are ready, then take one of
 		// the cycle's issue slots.
@@ -456,9 +337,9 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 		}
 
 		if i == len(steps) {
-			return st, x.err
+			return st, e.err
 		}
-		guard, taken := w&flagGuard != 0, w&flagTaken != 0
+		guard, taken := w.Guard(), w.Taken()
 		st.Insts++
 		if !guard {
 			st.Nullified++
@@ -468,21 +349,14 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 		}
 
 		// Schedule predicate resolution for the fetch-stage structures.
-		if in.predDef {
-			pr := pendingResolve{at: issue + cfg.PredResolveLatency, n: in.npdef, preds: in.pdefs}
-			for j := range in.npdef {
-				pr.vals[j] = w&(flagPred0<<j) != 0
+		if in.PredDef {
+			pr := pendingResolve{at: issue + cfg.PredResolveLatency, n: int(in.NPDef), preds: in.PDefs}
+			for j := range pr.n {
+				pr.vals[j] = w.PredDest(j)
 			}
-			if pgu && in.op == isa.OpCmp && guard {
-				switch cfg.PGU {
-				case core.PGUAll:
-					pr.pgu = true
-				case core.PGUBranchGuards:
-					pr.pgu = in.guardsBranch
-				case core.PGURegionGuards:
-					pr.pgu = in.guardsRegion
-				}
-				pr.pguBit = w&flagCmp != 0
+			if pgu && in.Event == record.Define && guard {
+				pr.pgu = cfg.PGU.SelectsDefine(in.FeedsBranch, in.FeedsRegionBranch)
+				pr.pguBit = w.Cmp()
 			}
 			if len(pending) == cap(pending) && head > 0 {
 				pending, head = pending[:copy(pending, pending[head:])], 0
@@ -491,7 +365,7 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 		}
 
 		// Resolve the branch.
-		if in.condBranch {
+		if in.Event == record.Branch {
 			switch {
 			case filtered:
 				st.Filtered++
@@ -512,7 +386,7 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 			default:
 				if pred.PredictUpdate(uint64(idx), taken) != taken {
 					st.Mispredicts++
-					if in.region {
+					if in.Region {
 						st.RegionMispredicts++
 					}
 					cycle += cfg.MispredictPenalty
@@ -524,7 +398,7 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 		// branches pop a predicted target and pay the flush penalty when
 		// it is wrong (or when the stack is empty/disabled).
 		if guard {
-			switch in.op {
+			switch in.Op {
 			case isa.OpBrl:
 				if cfg.RASDepth > 0 {
 					if len(ras) == cfg.RASDepth {
@@ -540,9 +414,9 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 					predicted = ras[len(ras)-1]
 					ras = ras[:len(ras)-1]
 				}
-				next := x.next
+				next := e.x.Next
 				if i+1 < len(steps) {
-					next = int(steps[i+1] >> flagBits)
+					next = steps[i+1].Index()
 				}
 				if predicted != next {
 					st.RASMisses++
@@ -559,13 +433,13 @@ func (x *Exec) Run(cfg Config) (Stats, error) {
 			slot = 0
 		}
 	}
-	if x.err != nil {
-		return st, x.err
+	if e.err != nil {
+		return st, e.err
 	}
 	if slot != 0 {
 		cycle++
 	}
 	st.Cycles = cycle
-	st.ExitCode = x.exitCode
+	st.ExitCode = e.x.ExitCode
 	return st, nil
 }

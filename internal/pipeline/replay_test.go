@@ -93,33 +93,6 @@ func TestReplayMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRecordRejectsUnindexableProgram runs the length check under a
-// 3-instruction bound, so a small program exceeds it: the program must be
-// refused rather than packed with a truncated index. At the real bound
-// the same program records.
-func TestRecordRejectsUnindexableProgram(t *testing.T) {
-	b := prog.NewBuilder("fits")
-	b.Movi(1, 1)
-	b.Addi(1, 1, 1)
-	b.Halt(0)
-	if _, err := record(b.MustProgram(), 0, 3); err != nil {
-		t.Fatalf("3-instruction program: %v", err)
-	}
-	b = prog.NewBuilder("toolong")
-	b.Movi(1, 1)
-	b.Addi(1, 1, 1)
-	b.Addi(1, 1, 1)
-	b.Halt(0)
-	p := b.MustProgram()
-	_, err := record(p, 0, 3)
-	if err == nil || !strings.Contains(err.Error(), "toolong has 4 instructions; a recording indexes at most 3") {
-		t.Fatalf("4-instruction program under a 3-instruction bound: %v", err)
-	}
-	if _, err := Record(p, 0); err != nil {
-		t.Fatalf("4-instruction program at the real bound: %v", err)
-	}
-}
-
 // TestRecordOutOfRangePC runs a program off its end: the run stops with
 // the emulator's pc fault after replaying every step it did execute.
 func TestRecordOutOfRangePC(t *testing.T) {

@@ -3,15 +3,20 @@
 // came from: hyperblock formation there was driven by profiled execution
 // weights and branch behaviour, converting a region only when the expected
 // misprediction savings outweigh the cost of fetching both paths.
+//
+// A profile is a view of a program's recorded execution
+// (internal/record): FromRecording derives it in one pass over the
+// recorded steps, so a caller that already holds the recording — the
+// experiment harness records each program once — profiles without
+// emulating again.
 package profile
 
 import (
 	"fmt"
 
 	"repro/internal/bpred"
-	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/record"
 )
 
 // Profile holds per-instruction execution counts and per-branch predictor
@@ -40,46 +45,49 @@ func (p *Profile) BlockExec(start int) uint64 {
 // Collect runs the program to completion, counting fetches per
 // instruction and mispredictions per conditional branch under the given
 // reference predictor (reset before use). A nil predictor defaults to
-// gshare 12/8.
+// gshare 12/8. It records the run once (record.Program) and derives the
+// profile from the recording (FromRecording).
 func Collect(pr *prog.Program, pred bpred.Predictor, limit uint64) (*Profile, error) {
+	x, err := record.Program(pr, limit)
+	if err != nil {
+		return nil, err
+	}
+	return FromRecording(x, pred)
+}
+
+// FromRecording derives the profile of a recorded run under the given
+// reference predictor (reset before use; nil defaults to gshare 12/8):
+// the profile Collect returns for the same program and limit. A
+// recording that ended in a limit stop or a fault is returned as the
+// error, prefixed "profile: ".
+func FromRecording(x *record.Recording, pred bpred.Predictor) (*Profile, error) {
+	if x.Err != nil {
+		return nil, fmt.Errorf("profile: %w", x.Err)
+	}
 	if pred == nil {
 		pred = bpred.NewGShare(12, 8)
 	}
 	pred.Reset()
-	m, err := emu.New(pr)
-	if err != nil {
-		return nil, err
-	}
+	n := len(x.Insts)
 	p := &Profile{
-		Exec:       make([]uint64, len(pr.Insts)),
-		Taken:      make([]uint64, len(pr.Insts)),
-		Mispredict: make([]uint64, len(pr.Insts)),
+		Exec:       make([]uint64, n),
+		Taken:      make([]uint64, n),
+		Mispredict: make([]uint64, n),
+		Insts:      uint64(len(x.Steps)),
 	}
-	for !m.Halted {
-		if limit > 0 && m.Steps >= limit {
-			return nil, fmt.Errorf("profile: %w (%d steps in %s)", emu.ErrLimit, m.Steps, pr.Name)
+	for _, s := range x.Steps {
+		idx := s.Index()
+		p.Exec[idx]++
+		taken := s.Taken()
+		if taken {
+			p.Taken[idx]++
 		}
-		si, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		p.Exec[si.Index]++
-		in := si.Inst
-		if !in.IsBranch() {
-			continue
-		}
-		if si.Taken {
-			p.Taken[si.Index]++
-		}
-		conditional := (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0 ||
-			in.Op == isa.OpCloop
-		if conditional {
-			if pred.Predict(uint64(si.Index)) != si.Taken {
-				p.Mispredict[si.Index]++
+		if x.Insts[idx].Event == record.Branch {
+			if pred.Predict(uint64(idx)) != taken {
+				p.Mispredict[idx]++
 			}
-			pred.Update(uint64(si.Index), si.Taken)
+			pred.Update(uint64(idx), taken)
 		}
 	}
-	p.Insts = m.Steps
 	return p, nil
 }

@@ -5,6 +5,8 @@ package trace
 // through workload).
 const VersionForTest = traceVersion
 
-// CollectChunkForTest exposes Collect's staging-chunk size so tests can
-// place event counts on either side of a chunk boundary.
-const CollectChunkForTest = collectChunk
+// CollectChunkForTest is the event count tests place chunk-boundary
+// cases around. The countdown programs those tests build run two steps
+// per event, so 2048 events fill exactly one of record.Program's
+// 4096-step staging chunks.
+const CollectChunkForTest = 2048

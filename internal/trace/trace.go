@@ -3,11 +3,18 @@
 // the predictor experiments run (fast, repeatable), mirroring the paper's
 // trace-driven methodology; the cycle-level model in internal/pipeline
 // provides the timing view.
+//
+// A trace is a view of a program's recorded execution (internal/record):
+// FromRecording derives it in one pass over the recorded steps, and
+// Collect is one recording plus that pass. Stream derives the same
+// events, by the same per-step rule, from a live recorder instead, and
+// keeps no recording.
 package trace
 
 import (
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/record"
 )
 
 // Kind distinguishes event types.
@@ -63,44 +70,16 @@ type Trace struct {
 	PredDefs       uint64
 }
 
-// collectChunk is the number of events per staging chunk in Collect.
-const collectChunk = 1 << 11
-
-// Collect runs the program to completion and records its event stream.
-// It materializes the same stream Stream produces, for traces that are
-// replayed many times across a predictor sweep. Events are staged in
-// fixed-size chunks and copied once into an exact-size slice
-// (len(Events) == cap(Events)), so a trace neither pays for repeated
-// growth copies nor keeps spare capacity for its lifetime.
+// Collect runs the program to completion and records its event stream:
+// one recording (record.Program) and one pass deriving the events from
+// it (FromRecording). It materializes the same stream Stream produces,
+// for traces that are replayed many times across a predictor sweep.
+// The event slice is exact-size (len(Events) == cap(Events)), so a
+// trace keeps no spare capacity for its lifetime.
 func Collect(p *prog.Program, limit uint64) (*Trace, error) {
-	r := newEmuReader(p, limit)
-	var full [][]Event
-	chunk := make([]Event, collectChunk)
-	n := 0
-	for r.Next(&chunk[n]) {
-		if n++; n == collectChunk {
-			full = append(full, chunk)
-			chunk = make([]Event, collectChunk)
-			n = 0
-		}
-	}
-	if err := r.Err(); err != nil {
+	x, err := record.Program(p, limit)
+	if err != nil {
 		return nil, err
 	}
-	tr := &Trace{Name: p.Name}
-	if total := len(full)*collectChunk + n; total > 0 {
-		tr.Events = make([]Event, total)
-		off := 0
-		for _, c := range full {
-			off += copy(tr.Events[off:], c)
-		}
-		copy(tr.Events[off:], chunk[:n])
-	}
-	c := r.Counts()
-	tr.Insts = c.Insts
-	tr.Nullified = c.Nullified
-	tr.Branches = c.Branches
-	tr.RegionBranches = c.RegionBranches
-	tr.PredDefs = c.PredDefs
-	return tr, nil
+	return FromRecording(x)
 }
