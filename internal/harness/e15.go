@@ -12,6 +12,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/charz"
 	"repro/internal/sim"
@@ -32,14 +33,32 @@ func e15() Experiment {
 	}
 
 	// One characterization pass per grid point, computed on the sweep
-	// pool by Prepare and shared by the metric columns.
-	rep := func(r Row) *charz.Report {
-		rp, err := r.Entry.characterization()
-		if err != nil {
-			// Prepare already characterized every entry without error.
-			panic(fmt.Sprintf("harness: E15: %v", err))
+	// pool by Prepare and shared by the metric columns. A catalog
+	// point's trace is a function of its name alone (a step limit can
+	// fail the run, never change it), so the reports are shared by every
+	// suite in the process.
+	var mu sync.Mutex
+	reports := make(map[string]*charz.Report)
+	prepare := func(e *Entry) error {
+		mu.Lock()
+		_, ok := reports[e.Name]
+		mu.Unlock()
+		if ok {
+			return nil
 		}
-		return rp
+		rp, err := charz.Characterize(e.OrigTrace, charz.Options{})
+		if err != nil {
+			return fmt.Errorf("harness: E15: characterizing %s: %w", e.Name, err)
+		}
+		mu.Lock()
+		reports[e.Name] = rp
+		mu.Unlock()
+		return nil
+	}
+	rep := func(r Row) *charz.Report {
+		mu.Lock()
+		defer mu.Unlock()
+		return reports[r.Entry.Name]
 	}
 
 	cols := []Col{
@@ -67,10 +86,7 @@ func e15() Experiment {
 			"the conditioned-entropy columns",
 		Workloads: charz.CatalogNames(),
 		Variants:  variants,
-		Prepare: func(e *Entry) error {
-			_, err := e.characterization()
-			return err
-		},
+		Prepare:   prepare,
 		Tables: []TableSpec{{
 			Title:   "E15: misprediction rate by predictor kind (registry defaults) across synthetic points",
 			Shape:   RowsPerEntry,

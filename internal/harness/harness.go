@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/buildinfo"
-	"repro/internal/charz"
 	"repro/internal/core"
 	"repro/internal/ifconv"
 	"repro/internal/profile"
@@ -98,10 +97,6 @@ type Entry struct {
 	unschedOnce sync.Once
 	unschedProg *prog.Program
 	unschedErr  error
-
-	charzOnce sync.Once
-	charzRep  *charz.Report
-	charzErr  error
 }
 
 // converted returns the greedy if-conversion (Conv and Report), made on
@@ -171,22 +166,6 @@ func (e *Entry) Profiled() (*prog.Program, *ifconv.Report, *trace.Trace, error) 
 // scheduling (the E10 ablation), memoized like Profiled.
 func (e *Entry) Unscheduled() (*trace.Trace, error) {
 	return e.suite.trace(execKey{entry: e, trace: TraceUnscheduled, limit: e.limit})
-}
-
-// characterization returns the charz report of the original trace,
-// computed on first use.
-func (e *Entry) characterization() (*charz.Report, error) {
-	e.charzOnce.Do(func() {
-		tr, err := e.suite.trace(execKey{entry: e, trace: TraceOrig, limit: e.limit})
-		if err != nil {
-			e.charzErr = err
-			return
-		}
-		if e.charzRep, err = charz.Characterize(tr, charz.Options{}); err != nil {
-			e.charzErr = fmt.Errorf("harness: characterizing %s: %w", e.Name, err)
-		}
-	})
-	return e.charzRep, e.charzErr
 }
 
 // label names one of the entry's programs in error messages.
