@@ -110,7 +110,8 @@ echo "== bench smoke =="
 # fast path without paying for a real measurement.
 go test -run='^$' -bench BenchmarkFeed -benchtime 1x .
 # The same for the timing model (a full run and a replay alone) and for
-# deriving traces from a recording.
+# the trace front end (trace.Collect, and the derive pass alone over a
+# finished recording).
 go test -run '^$' -bench 'Benchmark(Run|Replay|Derive)$' -benchtime 1x ./internal/pipeline
 
 echo "== bpbench regression gate =="

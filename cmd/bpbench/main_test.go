@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // TestQuickRunWritesReport runs the quick grid at a tiny mintime and
@@ -107,5 +110,33 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 	}
 	if err := compare(&out, rep, path, 0.25); err == nil {
 		t.Error("reintroduced per-event allocation passed a zero-alloc baseline")
+	}
+}
+
+// allocPredictor allocates on every prediction, standing in for a feed
+// loop that has regressed to per-event allocation.
+type allocPredictor struct{ last []byte }
+
+func (p *allocPredictor) Name() string { return "alloc" }
+
+func (p *allocPredictor) Predict(pc uint64) bool {
+	p.last = make([]byte, 16+pc%16)
+	return len(p.last)&1 == 0
+}
+
+func (p *allocPredictor) Update(uint64, bool) {}
+func (p *allocPredictor) Reset()              {}
+
+// TestFeedAllocsSeesRealAllocation: the smallest-window measurement must
+// not hide a FeedBatch that allocates, which would read 0 and pass the
+// zero-alloc gate.
+func TestFeedAllocsSeesRealAllocation(t *testing.T) {
+	window := make([]trace.Event, 256)
+	for i := range window {
+		window[i] = trace.Event{Kind: trace.KindBranch, PC: uint64(i), Taken: i%3 == 0}
+	}
+	e := core.NewEvaluator(core.EvalConfig{Predictor: &allocPredictor{}})
+	if got := feedAllocs(e, window); got < 1 {
+		t.Errorf("allocating feed measured %.4f allocs/event; want at least 1", got)
 	}
 }

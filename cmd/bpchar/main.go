@@ -107,31 +107,31 @@ func runCharacterize(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var src trace.Source
+	var tr *trace.Trace
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		tr, err := trace.ReadTrace(f)
-		if err != nil {
+		if tr, err = trace.ReadTrace(f); err != nil {
 			return err
 		}
-		src = tr
 	} else {
 		w, err := workload.ByName(*wname)
 		if err != nil {
 			return err
 		}
-		src = trace.Stream(w.Build(), *limit)
+		if tr, err = trace.Collect(w.Build(), *limit); err != nil {
+			return err
+		}
+		// The report names the workload as the user spelled it, not by
+		// its canonical program name.
+		tr.Name = *wname
 	}
-	rep, err := charz.Characterize(src, charz.Options{Depths: depths, GlobalDepth: *gdepth})
+	rep, err := charz.Characterize(tr, charz.Options{Depths: depths, GlobalDepth: *gdepth})
 	if err != nil {
 		return err
-	}
-	if rep.Name == "" {
-		rep.Name = *wname
 	}
 	printReport(out, rep, *branches)
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,6 +47,28 @@ func TestCharacterizeSynthetic(t *testing.T) {
 	// A clean period-3 pattern is fully determined by 4 bits of history.
 	if !strings.Contains(out, "H(Y|h4)") {
 		t.Errorf("conditioned-entropy columns missing:\n%s", out)
+	}
+}
+
+// TestCharacterizeGolden pins characterize's report byte for byte. The
+// synthetic point is spelled non-canonically ("eps=0.020", an explicit
+// default seed): the report names the workload as the user typed it,
+// not by its canonical name.
+func TestCharacterizeGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"characterize-syn-lag.golden", []string{"characterize", "-w", "syn:lag:k=6:eps=0.020:seed=1"}},
+		{"characterize-scan-branches.golden", []string{"characterize", "-w", "scan", "-branches"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runOut(t, c.args...); got != string(want) {
+			t.Errorf("%v: report differs from %s\ngot:\n%s\nwant:\n%s", c.args, c.golden, got, want)
+		}
 	}
 }
 

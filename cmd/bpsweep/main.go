@@ -108,8 +108,8 @@ func run(args []string, out io.Writer) error {
 		name               string
 		base, sf, pg, both repro.Metrics
 	}
-	// The trace is shared read-only: every evaluation gets its own replay
-	// cursor and a fresh predictor, so grid points are independent jobs.
+	// The trace is shared read-only: every evaluation reads its event
+	// slice with a fresh predictor, so grid points are independent jobs.
 	rows, err := sim.Map(ctx, specs, *workers, func(_ context.Context, sp sim.Spec) (row, error) {
 		mk := func() repro.Predictor { return sp.MustNew() }
 		return row{

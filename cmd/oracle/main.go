@@ -2,10 +2,9 @@
 // internal/oracle: every registered predictor kind against its naive
 // reference model, the metamorphic properties (reset-replay, table
 // doubling, static interleave-invariance), and the
-// cross-implementation equivalences (slice vs. stream replay, Collect
-// vs. Stream event production, serialize round-trip, serial vs. parallel
-// sweep, batch feed vs. per-event feed) over every built-in workload plus
-// synthetic programs.
+// cross-implementation equivalences (serialize round-trip, evaluator vs.
+// naive reference, serial vs. parallel sweep, batch feed vs. per-event
+// feed) over every built-in workload plus synthetic programs.
 // It exits nonzero on any divergence, making it a one-command
 // correctness gate for refactors of the simulation engine.
 //
@@ -164,12 +163,6 @@ func run(args []string, out io.Writer) error {
 	for _, c := range cases {
 		c := c
 		checks = append(checks,
-			check{name: "slice-stream:" + c.Name, fn: func(context.Context) error {
-				return oracle.CheckReplayEquivalence(c)
-			}},
-			check{name: "collect-stream:" + c.Name, fn: func(context.Context) error {
-				return oracle.CheckCollectStream(c.Prog, c.Limit)
-			}},
 			check{name: "roundtrip:" + c.Name, fn: func(context.Context) error {
 				return oracle.CheckSerializeRoundTrip(c)
 			}},

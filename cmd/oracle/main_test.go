@@ -17,8 +17,8 @@ func TestRunFullMatrix(t *testing.T) {
 	for _, want := range []string{
 		"ref:gshare", "ref:perceptron", "reset:agree",
 		"doubling:bimodal", "interleave:taken",
-		"slice-stream:scan", "collect-stream:scan", "roundtrip:scan", "refeval:scan",
-		"slice-stream:synth-1", "sweep:serial-vs-parallel",
+		"roundtrip:scan", "refeval:scan", "fastpath:scan",
+		"refeval:synth-1", "sweep:serial-vs-parallel",
 		"0 divergences",
 	} {
 		if !strings.Contains(got, want) {

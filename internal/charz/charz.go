@@ -221,11 +221,11 @@ type branchState struct {
 	probe sepProbe
 }
 
-// Characterize runs one pass over the source's branch events and
+// Characterize runs one pass over the trace's branch events and
 // returns the per-branch and aggregate predictability metrics.
 // Predicate-define events are ignored. All metrics are finite for every
 // input, including empty traces and one-event branches.
-func Characterize(src trace.Source, opt Options) (*Report, error) {
+func Characterize(tr *trace.Trace, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	for _, d := range opt.Depths {
 		if d < 1 || d > 32 {
@@ -241,9 +241,8 @@ func Characterize(src trace.Source, opt Options) (*Report, error) {
 	var gseen uint64
 	var events uint64
 
-	r := src.Replay()
-	var ev trace.Event
-	for r.Next(&ev) {
+	for i := range tr.Events {
+		ev := &tr.Events[i]
 		if ev.Kind != trace.KindBranch {
 			continue
 		}
@@ -280,20 +279,12 @@ func Characterize(src trace.Source, opt Options) (*Report, error) {
 		gseen++
 		events++
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-
 	rep := &Report{
+		Name:        tr.Name,
 		Events:      events,
 		Depths:      append([]int(nil), opt.Depths...),
 		GlobalDepth: opt.GlobalDepth,
 		CondEntropy: make([]float64, len(opt.Depths)),
-	}
-	// Materialized traces carry a name; emulator streams do not, so
-	// callers may overwrite Name afterwards.
-	if t, ok := src.(*trace.Trace); ok {
-		rep.Name = t.Name
 	}
 	for _, st := range states {
 		bm := BranchMetrics{

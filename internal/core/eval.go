@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/bpred"
@@ -190,21 +189,19 @@ type pendingBit struct {
 	bit     bool
 }
 
-// Evaluate replays a trace source through the configured predictor and
-// mechanisms and returns the resulting metrics. The source's replay must
-// be error-free (an in-memory *trace.Trace always is); replaying a live
-// source that can fail, e.g. trace.Stream, goes through EvaluateStream.
-func Evaluate(src trace.Source, cfg EvalConfig) Metrics {
-	m, err := EvaluateStream(src.Replay(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("core: replay failed mid-evaluation: %v", err))
-	}
-	return m
+// Evaluate replays a trace through the configured predictor and
+// mechanisms and returns the resulting metrics: one Evaluator fed the
+// whole event slice in one FeedBatch.
+func Evaluate(tr *trace.Trace, cfg EvalConfig) Metrics {
+	e := NewEvaluator(cfg)
+	e.FeedBatch(tr.Events)
+	e.m.Insts = tr.Insts
+	return e.m
 }
 
 // Evaluator is the incremental form of the trace-driven evaluator: events
-// are fed one at a time and the metrics so far can be read between feeds.
-// EvaluateStream is a thin loop over it; long-lived consumers — the
+// are fed in batches and the metrics so far can be read between feeds.
+// Evaluate is one batch over a whole trace; long-lived consumers — the
 // serving daemon's sessions, which receive a branch stream in client-sized
 // batches over an arbitrary lifetime — feed events as they arrive.
 //
@@ -221,7 +218,7 @@ type Evaluator struct {
 }
 
 // NewEvaluator resets cfg.Predictor and prepares incremental evaluation
-// with exactly the semantics of EvaluateStream over the same event order.
+// with exactly the semantics of Evaluate over the same event order.
 func NewEvaluator(cfg EvalConfig) *Evaluator {
 	p := cfg.Predictor
 	p.Reset()
@@ -263,8 +260,8 @@ func (e *Evaluator) flush(now uint64) {
 }
 
 // AddInsts credits n dynamic instructions to the metrics. Batch-streaming
-// clients report instruction counts per batch; a whole-trace replay
-// instead sets the total from the reader's counts (see EvaluateStream).
+// clients report instruction counts per batch; Evaluate sets the total
+// from the trace.
 func (e *Evaluator) AddInsts(n uint64) { e.m.Insts += n }
 
 // Metrics returns the metrics accumulated so far. The ByPC map is the
@@ -304,50 +301,4 @@ func (m Metrics) Clone() Metrics {
 		}
 	}
 	return out
-}
-
-// evalBatchSize is the event-batch granularity EvaluateStream feeds
-// FeedBatch with when the reader cannot expose contiguous views itself.
-// Large enough to amortise the per-batch set-up to nothing, small enough
-// to stay cache-resident (24 B/event ≈ 96 KiB).
-const evalBatchSize = 4096
-
-// EvaluateStream replays one event stream through the configured
-// predictor and mechanisms and returns the resulting metrics. It is the
-// streaming core of the trace-driven evaluator: events are consumed as
-// produced, so a reader backed by a live emulator run evaluates in
-// constant memory.
-//
-// Events are fed in batches (FeedBatch): a reader that implements
-// trace.BatchReader — the materialized in-memory trace does — hands over
-// contiguous event views with zero copying; any other reader is gathered
-// into a scratch buffer batch by batch.
-func EvaluateStream(r trace.Reader, cfg EvalConfig) (Metrics, error) {
-	e := NewEvaluator(cfg)
-	if br, ok := r.(trace.BatchReader); ok {
-		for {
-			batch := br.NextBatch(evalBatchSize)
-			if len(batch) == 0 {
-				break
-			}
-			e.FeedBatch(batch)
-		}
-	} else {
-		buf := make([]trace.Event, evalBatchSize)
-		for {
-			n := 0
-			for n < len(buf) && r.Next(&buf[n]) {
-				n++
-			}
-			if n == 0 {
-				break
-			}
-			e.FeedBatch(buf[:n])
-		}
-	}
-	if err := r.Err(); err != nil {
-		return e.m, err
-	}
-	e.m.Insts = r.Counts().Insts
-	return e.m, nil
 }

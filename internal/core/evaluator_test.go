@@ -19,11 +19,11 @@ func evalCfg() EvalConfig {
 	}
 }
 
-// TestEvaluatorMatchesEvaluateStream feeds the same event stream in
-// uneven batches through an incremental Evaluator and in one pass through
-// EvaluateStream; the metrics must be identical. This is the guarantee a
+// TestEvaluatorMatchesEvaluate feeds the same event stream in uneven
+// batches through an incremental Evaluator and in one pass through
+// Evaluate; the metrics must be identical. This is the guarantee a
 // serving session (batch-fed over its lifetime) relies on.
-func TestEvaluatorMatchesEvaluateStream(t *testing.T) {
+func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	p, _, err := ifconv.Convert(workload.ByNameMust("bsearch").Build(), ifconv.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +40,7 @@ func TestEvaluatorMatchesEvaluateStream(t *testing.T) {
 		if i+n > len(tr.Events) {
 			n = len(tr.Events) - i
 		}
-		for j := i; j < i+n; j++ {
-			e.Feed(&tr.Events[j])
-		}
+		e.FeedBatch(tr.Events[i : i+n])
 		i += n
 	}
 	e.AddInsts(tr.Insts)

@@ -9,8 +9,11 @@
 //     correlation bits that if-conversion removed from the branch stream.
 //
 // The trace-driven evaluator (Evaluate) combines either or both mechanisms
-// with any baseline predictor from internal/bpred; internal/pipeline uses
-// the same SFPF type with exact cycle-level resolve tracking.
+// with any baseline predictor from internal/bpred. Its input is a
+// trace's event slice, fed through Evaluator.FeedBatch: Evaluate feeds a
+// whole *trace.Trace at once, serving sessions feed client batches as
+// they arrive. internal/pipeline uses the same SFPF type with exact
+// cycle-level resolve tracking.
 package core
 
 import "repro/internal/isa"

@@ -4,7 +4,7 @@
 //
 // The emulator is both the correctness oracle (original and if-converted
 // programs must produce identical results) and the source of every
-// simulation input: internal/record's Recorder calls StepInto once per
+// simulation input: internal/record's Program calls StepInto once per
 // dynamic instruction and packs the outcome bits of each StepInfo, and
 // the event traces, execution profiles and timing-model replays all
 // derive from that one recording.

@@ -312,35 +312,31 @@ type Experiment struct {
 	// Expect states the shape the result should show if the reproduction
 	// holds.
 	Expect string
-	// Spec is the experiment's declarative definition when it runs on
-	// the generic engine (see spec.go); nil for a hand-written Run (the
-	// escape hatch for experiments that do not fit a grid).
+	// Spec is the experiment's declarative definition, run on the
+	// generic engine (see spec.go).
 	Spec *Spec
-	Run  func(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, error)
+}
+
+// Run regenerates the experiment's tables on suite s.
+func (e Experiment) Run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, error) {
+	return e.Spec.run(ctx, s, cfg)
 }
 
 // ConfigHash identifies what this experiment would compute under cfg:
-// the experiment, the run bounds, and — for spec-driven experiments —
-// the active variant grid and workload selection. Two runs with equal
-// hashes answered the same question; the results store keys records on
-// it so `bpstats` can tell a regression from a reconfiguration.
+// the experiment, the run bounds, the active variant grid and the
+// workload selection. Two runs with equal hashes answered the same
+// question; the results store keys records on it so `bpstats` can tell a
+// regression from a reconfiguration.
 func (e Experiment) ConfigHash(cfg Config) string {
 	cfg = cfg.withDefaults()
-	doc := struct {
+	return buildinfo.Hash(struct {
 		ID        string
 		Limit     uint64
 		Quick     bool
-		Custom    bool      `json:",omitempty"`
 		Workloads []string  `json:",omitempty"`
 		Variants  []Variant `json:",omitempty"`
-	}{ID: e.ID, Limit: cfg.Limit, Quick: cfg.Quick}
-	if e.Spec == nil {
-		doc.Custom = true
-	} else {
-		doc.Workloads = e.Spec.Workloads
-		doc.Variants = e.Spec.ActiveVariants(cfg)
-	}
-	return buildinfo.Hash(doc)
+	}{ID: e.ID, Limit: cfg.Limit, Quick: cfg.Quick,
+		Workloads: e.Spec.Workloads, Variants: e.Spec.ActiveVariants(cfg)})
 }
 
 var experiments []Experiment

@@ -51,8 +51,8 @@ func TestRegistryComplete(t *testing.T) {
 		if i > 0 && idOrd(all[i-1].ID) >= idOrd(e.ID) {
 			t.Errorf("experiments not in natural order: %s then %s", all[i-1].ID, e.ID)
 		}
-		if e.Run == nil {
-			t.Errorf("%s has no Run", e.ID)
+		if e.Spec == nil {
+			t.Errorf("%s has no Spec", e.ID)
 		}
 	}
 	if _, err := ByID("E1"); err != nil {

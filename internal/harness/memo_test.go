@@ -147,8 +147,8 @@ func TestExecMemoSharing(t *testing.T) {
 // TestSuiteExecIsTheOnlyEmulation reads the package's own source: the
 // one call that runs the emulator is record.Program inside Suite.exec,
 // and nothing reaches for the collectors that would emulate again
-// (trace.Collect, trace.Stream, profile.Collect, pipeline.Record,
-// pipeline.Run) or for the emulator itself.
+// (trace.Collect, profile.Collect, pipeline.Run) or for the emulator
+// itself.
 func TestSuiteExecIsTheOnlyEmulation(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -158,8 +158,7 @@ func TestSuiteExecIsTheOnlyEmulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	banned := map[string]bool{
-		"trace.Collect": true, "trace.Stream": true, "profile.Collect": true,
-		"pipeline.Record": true, "pipeline.Run": true,
+		"trace.Collect": true, "profile.Collect": true, "pipeline.Run": true,
 		"emu.New": true, "emu.RunProgram": true,
 	}
 	var recordCalls []string

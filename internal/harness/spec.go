@@ -248,10 +248,8 @@ type Spec struct {
 	Tables  []TableSpec
 }
 
-// Experiment adapts the Spec to the experiment registry. The returned
-// Experiment's Run is the generic engine; hand-written experiments that
-// genuinely do not fit a grid can still register a custom Run closure
-// (the escape hatch — currently unused).
+// Experiment adapts the Spec to the experiment registry; the returned
+// Experiment runs on the generic engine.
 func (sp Spec) Experiment() Experiment {
 	s := sp
 	return Experiment{
@@ -260,7 +258,6 @@ func (sp Spec) Experiment() Experiment {
 		Paper:  s.Paper,
 		Expect: s.Expect,
 		Spec:   &s,
-		Run:    s.run,
 	}
 }
 

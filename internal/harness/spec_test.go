@@ -191,3 +191,43 @@ func TestConfigHash(t *testing.T) {
 		t.Fatal("different experiments share a hash")
 	}
 }
+
+// TestConfigHashesPinned pins every experiment's quick and full hash.
+// The results store keys records on these hashes, so a refactor of the
+// hashed document (a field dropped, renamed or reordered) must not move
+// them: stored runs would stop matching their experiments.
+func TestConfigHashesPinned(t *testing.T) {
+	want := []struct{ id, quick, full string }{
+		{"E1", "61063f8f8bd169d5", "773f0cc7c57fb57f"},
+		{"E2", "0f626413284a6d86", "1112601cf6a2f365"},
+		{"E3", "69bd14c3f86b3da2", "90d409e5e8f5077a"},
+		{"E4", "cd9d6ce33a308d92", "3abca2c6b63057c7"},
+		{"E5", "584f3f44449baa5c", "bd1c611aecdeaa82"},
+		{"E6", "8eea2c6a1695b6ac", "d4b5cdcf313cf665"},
+		{"E7", "684ad3efe374b056", "774c212dd8384867"},
+		{"E8", "dbfc1dd779417245", "22715b9f48e0e582"},
+		{"E9", "a88bbd475c404d93", "6595f012643354bd"},
+		{"E10", "a5718130c9a9ee36", "ad24d24865f88338"},
+		{"E11", "553130fb8b4e0c4a", "17cd85086f374dae"},
+		{"E12", "3e5b36d904d170dc", "c050de2743697230"},
+		{"E13", "d79808c685626c60", "fa5d4ddf731833db"},
+		{"E14", "0275f939883364da", "e79ee2c30278113d"},
+		{"E15", "a726289c2e275bc5", "8559bf80e3030d14"},
+	}
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("%d experiments registered, %d pinned", len(all), len(want))
+	}
+	for i, w := range want {
+		e := all[i]
+		if e.ID != w.id {
+			t.Fatalf("experiment %d is %s, want %s", i, e.ID, w.id)
+		}
+		if got := e.ConfigHash(Config{Quick: true}); got != w.quick {
+			t.Errorf("%s quick hash %s, want %s", e.ID, got, w.quick)
+		}
+		if got := e.ConfigHash(Config{}); got != w.full {
+			t.Errorf("%s full hash %s, want %s", e.ID, got, w.full)
+		}
+	}
+}

@@ -53,70 +53,6 @@ func metricsDiff(a, b core.Metrics) string {
 	return fmt.Sprint(out)
 }
 
-// CheckReplayEquivalence evaluates the case over the materialized trace
-// (Collect + slice replay) and over the live emulator stream
-// (trace.Stream + EvaluateStream). The two metrics must be bit-identical:
-// this is the slice-vs-stream equivalence every caller of either path
-// relies on.
-func CheckReplayEquivalence(c Case) error {
-	tr, err := trace.Collect(c.Prog, c.Limit)
-	if err != nil {
-		return fmt.Errorf("oracle: %s: collect: %w", c.Name, err)
-	}
-	cfgSlice, err := c.config()
-	if err != nil {
-		return err
-	}
-	fromSlice := core.Evaluate(tr, cfgSlice)
-	cfgStream, err := c.config()
-	if err != nil {
-		return err
-	}
-	fromStream, err := core.EvaluateStream(trace.Stream(c.Prog, c.Limit).Replay(), cfgStream)
-	if err != nil {
-		return fmt.Errorf("oracle: %s: stream evaluation: %w", c.Name, err)
-	}
-	if !reflect.DeepEqual(fromSlice, fromStream) {
-		return fmt.Errorf("oracle: %s: slice and stream replay diverge: %s", c.Name, metricsDiff(fromSlice, fromStream))
-	}
-	return nil
-}
-
-// CheckCollectStream verifies that trace.Collect and direct consumption
-// of trace.Stream produce the identical event sequence and run counts
-// for the program. The two paths share the per-step event rule but not
-// its bookkeeping: Collect records the whole run first and derives the
-// events from the recording in one pass, Stream derives each event as
-// its step executes and keeps no recording.
-func CheckCollectStream(p *prog.Program, limit uint64) error {
-	tr, err := trace.Collect(p, limit)
-	if err != nil {
-		return fmt.Errorf("oracle: %s: collect: %w", p.Name, err)
-	}
-	r := trace.Stream(p, limit).Replay()
-	var ev trace.Event
-	i := 0
-	for r.Next(&ev) {
-		if i >= len(tr.Events) {
-			return fmt.Errorf("oracle: %s: stream produced extra event %d: %+v", p.Name, i, ev)
-		}
-		if ev != tr.Events[i] {
-			return fmt.Errorf("oracle: %s: event %d differs: stream %+v, collect %+v", p.Name, i, ev, tr.Events[i])
-		}
-		i++
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("oracle: %s: stream: %w", p.Name, err)
-	}
-	if i != len(tr.Events) {
-		return fmt.Errorf("oracle: %s: stream stopped after %d of %d events", p.Name, i, len(tr.Events))
-	}
-	if got, want := r.Counts(), tr.Counts(); got != want {
-		return fmt.Errorf("oracle: %s: counts differ: stream %+v, collect %+v", p.Name, got, want)
-	}
-	return nil
-}
-
 // CheckSerializeRoundTrip collects the case's trace, serializes it,
 // deserializes it, and requires (a) the deserialized trace to be
 // structurally identical and (b) an evaluation replayed over it to
@@ -157,8 +93,9 @@ func CheckSerializeRoundTrip(c Case) error {
 // calls and through FeedBatch in uneven batch sizes, and requires
 // bit-identical Metrics: state carried across batch boundaries (pending
 // predicate bits, the choice between the full and the tight loop) must
-// not depend on how the stream is cut. Everything that calls
-// EvaluateStream relies on that.
+// not depend on how the stream is cut. Evaluate feeds a whole trace in
+// one batch, serving sessions feed client-sized batches and sweeps feed
+// fixed-size chunks, and all of them rely on that.
 func CheckBatchEquivalence(c Case) error {
 	tr, err := trace.Collect(c.Prog, c.Limit)
 	if err != nil {
@@ -202,7 +139,7 @@ func CheckBatchEquivalence(c Case) error {
 // serial loop and fanned out over sim.Sweep's worker pool — and requires
 // the result slices to be identical, which is the determinism guarantee
 // (results in job order, independent of scheduling) plus the safety of
-// sharing one collected trace across concurrent replay cursors.
+// sharing one collected trace's event slice across concurrent evaluations.
 func CheckSweepParallel(ctx context.Context, cases []Case, workers int) error {
 	traces := make([]*trace.Trace, len(cases))
 	for i, c := range cases {

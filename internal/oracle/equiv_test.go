@@ -35,20 +35,6 @@ func fullCfg() core.EvalConfig {
 	}
 }
 
-func TestReplayEquivalence(t *testing.T) {
-	c := equivCase(t, "scan", fullCfg())
-	if err := CheckReplayEquivalence(c); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCollectStream(t *testing.T) {
-	c := equivCase(t, "scan", fullCfg())
-	if err := CheckCollectStream(c.Prog, c.Limit); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	c := equivCase(t, "bsearch", fullCfg())
 	if err := CheckSerializeRoundTrip(c); err != nil {

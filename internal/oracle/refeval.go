@@ -11,7 +11,7 @@ import (
 )
 
 // referenceEvaluate is a deliberately naive reimplementation of the
-// trace-driven evaluation loop in core.EvaluateStream: the squash false
+// trace-driven evaluation loop in core.Evaluator.FeedBatch: the squash false
 // path filter decision, the predicate-global-update bit insertion with
 // its delay, and all the metric accounting, written from the definitions
 // rather than from the production code. It indexes the event slice

@@ -40,10 +40,7 @@ var allocCases = []struct {
 func TestRunAllocsIndependentOfLength(t *testing.T) {
 	for _, c := range allocCases {
 		allocs := func(n int64) (float64, uint64) {
-			x, err := Record(c.build(n), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			x := recordExec(t, c.build(n), 0)
 			cfg := c.cfg()
 			var insts uint64
 			a := testing.AllocsPerRun(5, func() {
@@ -72,10 +69,7 @@ func TestRunAllocsIndependentOfLength(t *testing.T) {
 // spare capacity, however many staging chunks the run went through.
 func TestRecordRetainsFourBytesPerStep(t *testing.T) {
 	for _, c := range allocCases {
-		x, err := Record(c.build(3000), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := recordExec(t, c.build(3000), 0)
 		st, err := x.Run(c.cfg())
 		if err != nil {
 			t.Fatal(err)
@@ -94,8 +88,20 @@ func TestRecordRetainsFourBytesPerStep(t *testing.T) {
 	}
 }
 
-// stagingChunk is the size, in steps, of record.Program's staging chunks.
+// stagingChunk is the size, in steps, of record.Program's staging chunks;
+// record's own tests pin the value.
 const stagingChunk = 1 << 12
+
+// recordExec records p for at most limit steps and wraps the recording
+// for replay, the first half of Run.
+func recordExec(tb testing.TB, p *prog.Program, limit uint64) *Exec {
+	tb.Helper()
+	x, err := record.Program(p, limit)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewExec(x)
+}
 
 // BenchmarkRun times the timing model on an if-converted suite kernel
 // with the filter and PGU on, the shape the speedup experiments run:
@@ -119,10 +125,7 @@ func BenchmarkRun(b *testing.B) {
 // after the first does.
 func BenchmarkReplay(b *testing.B) {
 	p, cfg := benchProgram(b)
-	x, err := Record(p, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	x := recordExec(b, p, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var insts uint64
@@ -150,10 +153,9 @@ func benchProgram(b *testing.B) (*prog.Program, Config) {
 // BenchmarkDerive times the trace-side front end on the same kernel as
 // BenchmarkRun, in ns per emulated instruction: "collect" is one
 // recording plus one derive pass (trace.Collect, what a suite pays per
-// program), "derive" the derive pass alone over a finished recording
-// (what a trace costs once the program is recorded for timing anyway),
-// and "stream" drains trace.Stream, the live emulator loop that derives
-// each event as its step executes and keeps no recording.
+// program), and "derive" is the derive pass alone over a finished
+// recording (what a trace costs once the program is recorded for timing
+// anyway).
 func BenchmarkDerive(b *testing.B) {
 	p, _ := benchProgram(b)
 	x, err := record.Program(p, 0)
@@ -177,19 +179,6 @@ func BenchmarkDerive(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := trace.FromRecording(x); err != nil {
-				b.Fatal(err)
-			}
-		}
-		perInst(b)
-	})
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		var ev trace.Event
-		for i := 0; i < b.N; i++ {
-			r := trace.Stream(p, 0).Replay()
-			for r.Next(&ev) {
-			}
-			if err := r.Err(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,7 +13,7 @@
 // as in the paper).
 //
 // A run has two halves. The program's recorded execution
-// (internal/record, via Record or NewExec) supplies every step's outcome;
+// (internal/record, wrapped by NewExec) supplies every step's outcome;
 // (*Exec).Run replays it under one machine configuration. Run does both,
 // once.
 package pipeline
@@ -184,19 +184,6 @@ type Exec struct {
 	err error
 }
 
-// Record runs the program once on the emulator, for at most limit steps
-// (0 means no limit), and returns its replayable execution. A limit stop
-// or an emulator fault ends the recording; Run reports it after
-// replaying the steps before it. Record fails only when the program
-// cannot run at all or is too long to index.
-func Record(p *prog.Program, limit uint64) (*Exec, error) {
-	x, err := record.Program(p, limit)
-	if err != nil {
-		return nil, err
-	}
-	return NewExec(x), nil
-}
-
 // NewExec adds the timing model's static table to a recording, so Run
 // can replay it. The recording is shared, not copied.
 func NewExec(x *record.Recording) *Exec {
@@ -231,13 +218,17 @@ type pendingResolve struct {
 }
 
 // Run executes the program on the timing model: it records the program's
-// execution and replays it once under cfg.
+// execution (record.Program, for at most limit steps; 0 means no limit)
+// and replays it once under cfg. A limit stop or an emulator fault ends
+// the recording; the replay reports it after the steps before it. Run
+// fails without statistics only when the program cannot run at all or
+// is too long to index.
 func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
-	x, err := Record(p, limit)
+	x, err := record.Program(p, limit)
 	if err != nil {
 		return Stats{}, err
 	}
-	return x.Run(cfg)
+	return NewExec(x).Run(cfg)
 }
 
 // Run replays the recorded execution on the timing model configured by

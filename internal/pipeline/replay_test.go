@@ -51,10 +51,7 @@ func TestReplayMatchesRun(t *testing.T) {
 				t.Fatalf("%s, config %d: %s", p.Name, ci, want[ci].err)
 			}
 		}
-		x, err := Record(p, diffBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := recordExec(t, p, diffBudget)
 		check := func(order string, ci int) error {
 			if got := outcome(x.Run(withPredictor(timingConfigs[ci]))); got != want[ci] {
 				return fmt.Errorf("%s %s, config %d:\n replay %+v\n    run %+v", order, p.Name, ci, got, want[ci])

@@ -10,7 +10,8 @@
 // views share — which instructions are conditional branches, which
 // compares feed a (region) branch guard, when a predicate define writes
 // its destinations — live here, in the per-program table Recording.Insts,
-// so each rule has one home.
+// so each rule has one home. Program is the only emulator loop: every
+// view is derived from a finished recording, none from a live run.
 package record
 
 import (
@@ -174,97 +175,6 @@ func decode(p *prog.Program) []Inst {
 	return insts
 }
 
-// Recorder steps a program on the emulator one recorded step at a time.
-// Program drains one into a Recording; trace.Stream consumes one live,
-// so its memory stays flat however long the run.
-type Recorder struct {
-	m      *emu.Machine
-	info   emu.StepInfo // scratch for each step's report
-	insts  []Inst
-	limit  uint64
-	events int
-	err    error
-	// faultIdx is the static index of the step that faulted, or -1.
-	faultIdx int
-}
-
-// NewRecorder prepares p for recording, for at most limit steps (0 means
-// no limit). It fails when the program cannot run at all or is too long
-// to index.
-func NewRecorder(p *prog.Program, limit uint64) (*Recorder, error) {
-	return newRecorder(p, limit, maxInsts)
-}
-
-func newRecorder(p *prog.Program, limit uint64, max int) (*Recorder, error) {
-	if len(p.Insts) > max {
-		return nil, fmt.Errorf("record: %s has %d instructions; a recording indexes at most %d",
-			p.Name, len(p.Insts), max)
-	}
-	m, err := emu.New(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Recorder{m: m, insts: decode(p), limit: limit, faultIdx: -1}, nil
-}
-
-// Insts returns the program's static table.
-func (r *Recorder) Insts() []Inst { return r.insts }
-
-// Next executes one instruction and returns its recorded step. It
-// returns false once the program halted, hit the step limit or faulted;
-// Err then tells which.
-func (r *Recorder) Next() (Step, bool) {
-	m := r.m
-	if r.err != nil || m.Halted {
-		return 0, false
-	}
-	if r.limit > 0 && m.Steps >= r.limit {
-		r.err = fmt.Errorf("%w (%d steps in %s)", emu.ErrLimit, m.Steps, m.Prog.Name)
-		return 0, false
-	}
-	idx := m.PC
-	si := &r.info
-	if err := m.StepInto(si); err != nil {
-		r.err = err
-		if idx >= 0 && idx < len(r.insts) {
-			r.faultIdx = idx
-		}
-		return 0, false
-	}
-	s := Step(idx) << flagBits
-	if si.GuardTrue {
-		s |= flagGuard
-	}
-	if si.Taken {
-		s |= flagTaken
-	}
-	if si.CmpValue {
-		s |= flagCmp
-	}
-	in := &r.insts[idx]
-	for j, pd := range in.PDefs[:in.NPDef] {
-		if m.Preds[pd] {
-			s |= flagPred0 << j
-		}
-	}
-	if in.Event != NoEvent {
-		r.events++
-	}
-	return s, true
-}
-
-// Err returns the error that ended the run: nil while it runs and after
-// a halt, an error wrapping emu.ErrLimit after a limit stop, or the
-// emulator's fault.
-func (r *Recorder) Err() error { return r.err }
-
-// Steps returns the number of instructions executed so far, a faulting
-// one included.
-func (r *Recorder) Steps() uint64 { return r.m.Steps }
-
-// Nullified returns how many of them had a false guard.
-func (r *Recorder) Nullified() uint64 { return r.m.Nullified }
-
 // Recording is one functional execution of a program. It is read-only
 // once Program returns; any number of views may derive from it
 // concurrently.
@@ -282,8 +192,8 @@ type Recording struct {
 	Nullified uint64
 	// Events counts the steps whose instruction produces a trace event.
 	Events int
-	// Err is the terminal limit or fault error, nil when the program
-	// halted (see Recorder.Err).
+	// Err is the terminal error: nil when the program halted, an error
+	// wrapping emu.ErrLimit after a limit stop, or the emulator's fault.
 	Err error
 	// faultIdx is the static index of the step that faulted, or -1 when
 	// none did (or the pc left the program).
@@ -312,20 +222,53 @@ func Program(p *prog.Program, limit uint64) (*Recording, error) {
 // program is Program with the program-length bound as a parameter, so
 // tests can exercise the refusal on a small program.
 func program(p *prog.Program, limit uint64, max int) (*Recording, error) {
-	r, err := newRecorder(p, limit, max)
+	if len(p.Insts) > max {
+		return nil, fmt.Errorf("record: %s has %d instructions; a recording indexes at most %d",
+			p.Name, len(p.Insts), max)
+	}
+	m, err := emu.New(p)
 	if err != nil {
 		return nil, err
 	}
+	x := &Recording{Prog: p, Insts: decode(p), faultIdx: -1}
 	// Steps are staged in fixed-size chunks and copied once into an
 	// exact-size slice: no growth copies, no spare capacity kept for the
 	// recording's lifetime.
 	var full [][]Step
 	chunk := make([]Step, chunkSteps)
 	n := 0
-	for {
-		s, ok := r.Next()
-		if !ok {
+	var info emu.StepInfo // scratch for each step's report
+	for !m.Halted {
+		if limit > 0 && m.Steps >= limit {
+			x.Err = fmt.Errorf("%w (%d steps in %s)", emu.ErrLimit, m.Steps, p.Name)
 			break
+		}
+		idx := m.PC
+		if err := m.StepInto(&info); err != nil {
+			x.Err = err
+			if idx >= 0 && idx < len(x.Insts) {
+				x.faultIdx = idx
+			}
+			break
+		}
+		s := Step(idx) << flagBits
+		if info.GuardTrue {
+			s |= flagGuard
+		}
+		if info.Taken {
+			s |= flagTaken
+		}
+		if info.CmpValue {
+			s |= flagCmp
+		}
+		in := &x.Insts[idx]
+		for j, pd := range in.PDefs[:in.NPDef] {
+			if m.Preds[pd] {
+				s |= flagPred0 << j
+			}
+		}
+		if in.Event != NoEvent {
+			x.Events++
 		}
 		chunk[n] = s
 		if n++; n == chunkSteps {
@@ -334,16 +277,7 @@ func program(p *prog.Program, limit uint64, max int) (*Recording, error) {
 			n = 0
 		}
 	}
-	x := &Recording{
-		Prog:      p,
-		Insts:     r.insts,
-		Next:      r.m.PC,
-		ExitCode:  r.m.ExitCode,
-		Nullified: r.m.Nullified,
-		Events:    r.events,
-		Err:       r.err,
-		faultIdx:  r.faultIdx,
-	}
+	x.Next, x.ExitCode, x.Nullified = m.PC, m.ExitCode, m.Nullified
 	if total := len(full)*chunkSteps + n; total > 0 {
 		x.Steps = make([]Step, total)
 		off := 0

@@ -92,3 +92,41 @@ func TestRecordingEndings(t *testing.T) {
 		t.Errorf("fault: err %v, faulting step %v (index %d), %d steps", x.Err, ok, s.Index(), len(x.Steps))
 	}
 }
+
+// TestProgramChunkBoundaries records straight-line runs whose lengths
+// sit on and around the staging chunk: every step must land in order in
+// an exact-size slice whichever chunk it was staged in. trace's and
+// pipeline's chunk-boundary tests place their cases around a 4096-step
+// chunk, so the size is pinned here.
+func TestProgramChunkBoundaries(t *testing.T) {
+	if chunkSteps != 4096 {
+		t.Fatalf("staging chunk is %d steps; the trace and pipeline boundary tests assume 4096", chunkSteps)
+	}
+	for _, steps := range []int{1, chunkSteps - 1, chunkSteps, chunkSteps + 1, 2*chunkSteps + 1} {
+		// steps-1 instructions, every other one a compare, then a halt.
+		b := prog.NewBuilder("straight")
+		cmps := 0
+		for i := 0; i < steps-1; i++ {
+			if i%2 == 0 {
+				b.Cmpi(isa.CmpEQ, 1, 2, 1, int64(i))
+				cmps++
+			} else {
+				b.Nop()
+			}
+		}
+		b.Halt(0)
+		x, err := Program(b.MustProgram(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(x.Steps) != steps || cap(x.Steps) != steps || x.Events != cmps || x.Err != nil {
+			t.Fatalf("%d-step run: %d steps (cap %d), %d events, err %v; want %d steps, %d events",
+				steps, len(x.Steps), cap(x.Steps), x.Events, x.Err, steps, cmps)
+		}
+		for i, s := range x.Steps {
+			if s.Index() != i {
+				t.Fatalf("%d-step run: step %d records instruction %d", steps, i, s.Index())
+			}
+		}
+	}
+}

@@ -424,7 +424,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if cfg.Predictor, err = sp.New(); err != nil {
 			return SweepRow{}, err
 		}
-		m, err := core.EvaluateStream(&ctxReader{ctx: ctx, r: tr.Replay()}, cfg)
+		m, err := evaluateCtx(ctx, tr, cfg)
 		if err != nil {
 			return SweepRow{}, err
 		}
@@ -466,34 +466,23 @@ func (s *Server) handleMetricsPage(w http.ResponseWriter, _ *http.Request) {
 	s.tel.reg.Render(w)
 }
 
-// ctxReader wraps a trace reader with periodic context checks, so a
-// cancelled sweep (timeout or client disconnect) stops mid-replay instead
-// of finishing the whole trace first.
-type ctxReader struct {
-	ctx context.Context
-	r   trace.Reader
-	n   int
-	err error
-}
+// sweepChunk is how many events a sweep evaluation feeds between
+// context checks.
+const sweepChunk = 4096
 
-func (c *ctxReader) Next(ev *trace.Event) bool {
-	if c.err != nil {
-		return false
-	}
-	if c.n++; c.n&1023 == 0 {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			return false
+// evaluateCtx is core.Evaluate in sweepChunk-event batches, checking ctx
+// before each one, so a cancelled sweep (timeout or client disconnect)
+// stops mid-trace instead of finishing the whole trace first.
+func evaluateCtx(ctx context.Context, tr *trace.Trace, cfg core.EvalConfig) (core.Metrics, error) {
+	e := core.NewEvaluator(cfg)
+	for evs := tr.Events; len(evs) > 0; {
+		if err := ctx.Err(); err != nil {
+			return core.Metrics{}, err
 		}
+		n := min(len(evs), sweepChunk)
+		e.FeedBatch(evs[:n])
+		evs = evs[n:]
 	}
-	return c.r.Next(ev)
+	e.AddInsts(tr.Insts)
+	return e.Metrics(), nil
 }
-
-func (c *ctxReader) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.r.Err()
-}
-
-func (c *ctxReader) Counts() trace.Counts { return c.r.Counts() }

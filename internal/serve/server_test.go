@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/ifconv"
 	"repro/internal/sim"
@@ -293,6 +295,48 @@ func TestSweepTimeout(t *testing.T) {
 		http.StatusGatewayTimeout, &envelope)
 	if envelope.Error.Code != "timeout" {
 		t.Errorf("error code %q, want timeout", envelope.Error.Code)
+	}
+}
+
+// cancelOnPredict is a predictor that cancels a context at its first
+// prediction: a sweep cancelled while it is evaluating.
+type cancelOnPredict struct {
+	bpred.Predictor
+	cancel context.CancelFunc
+}
+
+func (p cancelOnPredict) Predict(pc uint64) bool {
+	p.cancel()
+	return p.Predictor.Predict(pc)
+}
+
+// TestEvaluateCtx: the sweep's chunked evaluation matches core.Evaluate,
+// and a context cancelled mid-trace stops it with the context's error
+// instead of metrics for the whole trace.
+func TestEvaluateCtx(t *testing.T) {
+	tr, err := trace.Collect(workload.ByNameMust("scan").Build(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) <= sweepChunk {
+		t.Fatalf("scan has %d events, not more than one %d-event chunk", len(tr.Events), sweepChunk)
+	}
+	cfg := core.EvalConfig{
+		Predictor: sim.For("gshare", 12, 8).MustNew(),
+		UseSFPF:   true, ResolveDelay: core.DefaultResolveDelay,
+		PGU: core.PGUAll, PGUDelay: core.DefaultPGUDelay,
+	}
+	want := core.Evaluate(tr, cfg)
+	got, err := evaluateCtx(context.Background(), tr, cfg)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunked evaluation: err %v, metrics %+v; want %+v", err, got, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Predictor = cancelOnPredict{sim.For("gshare", 12, 8).MustNew(), cancel}
+	if _, err := evaluateCtx(ctx, tr, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("evaluation cancelled mid-trace returned %v, want context.Canceled", err)
 	}
 }
 

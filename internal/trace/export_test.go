@@ -5,8 +5,7 @@ package trace
 // through workload).
 const VersionForTest = traceVersion
 
-// CollectChunkForTest is the event count tests place chunk-boundary
-// cases around. The countdown programs those tests build run two steps
-// per event, so 2048 events fill exactly one of record.Program's
-// 4096-step staging chunks.
-const CollectChunkForTest = 2048
+// RecordChunkForTest is record.Program's staging chunk, in steps; the
+// chunk-boundary cases are placed around it. record's own tests pin the
+// value.
+const RecordChunkForTest = 4096

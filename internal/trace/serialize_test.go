@@ -4,8 +4,10 @@
 package trace_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"repro/internal/ifconv"
@@ -155,5 +157,62 @@ func TestReadTraceRejectsHugeNameLength(t *testing.T) {
 	buf.Write(u32[:])
 	if _, err := trace.ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("oversized name length accepted")
+	}
+}
+
+// testEvents returns n synthetic events mixing branches and defines.
+func testEvents(n int) []trace.Event {
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		if i%3 == 2 {
+			evs[i] = trace.Event{Kind: trace.KindPredDef, Step: uint64(i), PC: uint64(i % 17), Executed: true, Value: i%2 == 0}
+		} else {
+			evs[i] = trace.Event{Kind: trace.KindBranch, Step: uint64(i), PC: uint64(i % 31), Taken: i%2 == 1, GuardDist: uint64(i % 7)}
+		}
+	}
+	return evs
+}
+
+// TestReadTraceFromReusesScratch checks scratch-buffer decoding through
+// ReadTraceFrom: the result matches ReadTrace, a sufficient scratch's
+// backing array is reused, and decoding into a recycled buffer allocates
+// no new event storage.
+func TestReadTraceFromReusesScratch(t *testing.T) {
+	tr := &trace.Trace{
+		Name: "serialize-into", Events: testEvents(257),
+		Insts: 4096, Nullified: 12, Branches: 171, RegionBranches: 3, PredDefs: 86,
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	plain, err := trace.ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]trace.Event, 0, 512)
+	into, err := trace.ReadTraceFrom(bufio.NewReader(bytes.NewReader(raw)), scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, into) {
+		t.Fatal("ReadTraceFrom decoded a different trace than ReadTrace")
+	}
+	if &into.Events[0] != &scratch[:1][0] {
+		t.Error("sufficient scratch capacity was not reused")
+	}
+
+	// Recycling the (possibly grown) slice must keep the same storage.
+	again, err := trace.ReadTraceFrom(bufio.NewReader(bytes.NewReader(raw)), into.Events[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Events[0] != &into.Events[0] {
+		t.Error("recycled buffer was reallocated on second decode")
+	}
+	if !reflect.DeepEqual(again.Events, plain.Events) {
+		t.Fatal("second decode into recycled buffer diverged")
 	}
 }

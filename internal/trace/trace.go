@@ -6,9 +6,10 @@
 //
 // A trace is a view of a program's recorded execution (internal/record):
 // FromRecording derives it in one pass over the recorded steps, and
-// Collect is one recording plus that pass. Stream derives the same
-// events, by the same per-step rule, from a live recorder instead, and
-// keeps no recording.
+// Collect is one recording plus that pass. Its Events slice is how
+// events reach every consumer: the evaluator feeds it through
+// core.Evaluator.FeedBatch, the characterizer (internal/charz) walks it,
+// and WriteTo/ReadTrace serialize it.
 package trace
 
 import (
@@ -72,10 +73,8 @@ type Trace struct {
 
 // Collect runs the program to completion and records its event stream:
 // one recording (record.Program) and one pass deriving the events from
-// it (FromRecording). It materializes the same stream Stream produces,
-// for traces that are replayed many times across a predictor sweep.
-// The event slice is exact-size (len(Events) == cap(Events)), so a
-// trace keeps no spare capacity for its lifetime.
+// it (FromRecording). The event slice is exact-size (len(Events) ==
+// cap(Events)), so a trace keeps no spare capacity for its lifetime.
 func Collect(p *prog.Program, limit uint64) (*Trace, error) {
 	x, err := record.Program(p, limit)
 	if err != nil {

@@ -217,8 +217,8 @@ func TestCollectLimit(t *testing.T) {
 	}
 	// A limit hit after several staging chunks have filled fails the
 	// same way: no partial trace is returned.
-	p := countdown("long", int64(4*trace.CollectChunkForTest))
-	tr, err := trace.Collect(p, uint64(8*trace.CollectChunkForTest))
+	p := countdown("long", int64(2*trace.RecordChunkForTest))
+	tr, err := trace.Collect(p, uint64(4*trace.RecordChunkForTest))
 	if !errors.Is(err, emu.ErrLimit) || tr != nil {
 		t.Fatalf("limited long run: trace %v, err = %v, want nil and emu.ErrLimit", tr, err)
 	}
