@@ -113,19 +113,20 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 	}
 }
 
-// allocPredictor allocates on every prediction, standing in for a feed
-// loop that has regressed to per-event allocation.
+// allocPredictor allocates on every step, standing in for a feed loop
+// that has regressed to per-event allocation.
 type allocPredictor struct{ last []byte }
 
 func (p *allocPredictor) Name() string { return "alloc" }
 
-func (p *allocPredictor) Predict(pc uint64) bool {
+func (p *allocPredictor) Predict(uint64) bool { return len(p.last)&1 == 0 }
+
+func (p *allocPredictor) PredictUpdate(pc uint64, _ bool) bool {
 	p.last = make([]byte, 16+pc%16)
 	return len(p.last)&1 == 0
 }
 
-func (p *allocPredictor) Update(uint64, bool) {}
-func (p *allocPredictor) Reset()              {}
+func (p *allocPredictor) Reset() {}
 
 // TestFeedAllocsSeesRealAllocation: the smallest-window measurement must
 // not hide a FeedBatch that allocates, which would read 0 and pass the

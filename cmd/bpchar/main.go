@@ -18,10 +18,10 @@
 // given literally via -point or solved from a (-rate, -cond, -depth)
 // target — and reports its canonical name, optionally writing the
 // collected trace to -o. probe infers a predictor's structure (history
-// depth, table size, hysteresis) through the public Predict/Update
-// interface only and checks it against the spec; -all verifies every
-// registry kind and exits nonzero on any mismatch, which is the CI
-// gate.
+// depth, table size, hysteresis) through the public Predict and
+// PredictUpdate interface only and checks it against the spec; -all
+// verifies every registry kind and exits nonzero on any mismatch, which
+// is the CI gate.
 package main
 
 import (

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro"
 	"repro/internal/buildinfo"
@@ -47,25 +46,12 @@ func run(args []string, out, report io.Writer) error {
 		return nil
 	}
 
-	var p *repro.Program
-	switch {
-	case *wname != "":
-		w, err := repro.WorkloadByName(*wname)
-		if err != nil {
-			return err
-		}
-		p = w.Build()
-	case *file != "":
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			return err
-		}
-		p, err = repro.Assemble(strings.TrimSuffix(*file, ".s"), string(src))
-		if err != nil {
-			return err
-		}
-	default:
+	if *wname == "" && *file == "" {
 		return fmt.Errorf("need -w workload or -f file")
+	}
+	p, err := repro.LoadProgram(*wname, *file)
+	if err != nil {
+		return err
 	}
 
 	cfg := repro.IfConvConfig{

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro"
 	"repro/internal/buildinfo"
@@ -37,26 +36,6 @@ func newPredictor(spec string) (repro.Predictor, error) {
 
 func pguPolicy(spec string) (repro.PGUPolicy, error) {
 	return repro.ParsePGUPolicy(spec)
-}
-
-// loadProgram resolves the -w/-f program selection flags shared by the
-// tools.
-func loadProgram(wname, file string) (*repro.Program, error) {
-	switch {
-	case wname != "":
-		w, err := repro.WorkloadByName(wname)
-		if err != nil {
-			return nil, err
-		}
-		return w.Build(), nil
-	case file != "":
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return repro.Assemble(strings.TrimSuffix(file, ".s"), string(src))
-	}
-	return nil, fmt.Errorf("need -w workload or -f file (try -listw)")
 }
 
 func run(args []string, out io.Writer) error {
@@ -95,7 +74,10 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	p, err := loadProgram(*wname, *file)
+	if *wname == "" && *file == "" {
+		return fmt.Errorf("need -w workload or -f file (try -listw)")
+	}
+	p, err := repro.LoadProgram(*wname, *file)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro"
 	"repro/internal/buildinfo"
@@ -50,25 +49,12 @@ func run(args []string, out io.Writer) error {
 		return showStats(out, *statsFile, *eval, *top)
 	}
 
-	var p *repro.Program
-	switch {
-	case *wname != "":
-		w, err := repro.WorkloadByName(*wname)
-		if err != nil {
-			return err
-		}
-		p = w.Build()
-	case *file != "":
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			return err
-		}
-		p, err = repro.Assemble(strings.TrimSuffix(*file, ".s"), string(src))
-		if err != nil {
-			return err
-		}
-	default:
+	if *wname == "" && *file == "" {
 		return fmt.Errorf("need -w, -f, or -stats")
+	}
+	p, err := repro.LoadProgram(*wname, *file)
+	if err != nil {
+		return err
 	}
 	if *convert {
 		cp, _, err := repro.IfConvert(p, repro.IfConvConfig{})

@@ -102,14 +102,7 @@ func (a *Agree) Predict(pc uint64) bool {
 	return bias == agree
 }
 
-// Update implements Predictor.
-func (a *Agree) Update(pc uint64, taken bool) {
-	bias := a.allocBias(pc, taken)
-	a.table.update(a.index(pc), taken == bias)
-	a.ObserveBit(taken)
-}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (a *Agree) PredictUpdate(pc uint64, taken bool) bool {
 	i := a.index(pc)
 	agree := a.table.taken(i)
@@ -150,5 +143,4 @@ func (a *Agree) Reset() {
 var (
 	_ Predictor       = (*Agree)(nil)
 	_ HistoryObserver = (*Agree)(nil)
-	_ Fused           = (*Agree)(nil)
 )

@@ -10,7 +10,7 @@ func TestAgreeLearnsBiasedBranch(t *testing.T) {
 		if p := a.Predict(0x20); i >= n/2 && !p {
 			misses++
 		}
-		a.Update(0x20, true)
+		a.PredictUpdate(0x20, true)
 	}
 	if misses != 0 {
 		t.Errorf("agree missed %d on constant-taken branch", misses)
@@ -19,7 +19,7 @@ func TestAgreeLearnsBiasedBranch(t *testing.T) {
 
 func TestAgreeFirstOutcomeSetsBias(t *testing.T) {
 	a := NewAgree(10, 6)
-	a.Update(4, false) // bias fixed to not-taken
+	a.PredictUpdate(4, false) // bias fixed to not-taken
 	// With a fresh weakly-agree counter, the prediction follows the bias.
 	if a.Predict(4) {
 		t.Error("prediction ignores the recorded bias")
@@ -41,20 +41,20 @@ func TestAgreeToleratesAliasing(t *testing.T) {
 		if p := agree.Predict(1); i >= n/2 && !p {
 			am++
 		}
-		agree.Update(1, true)
+		agree.PredictUpdate(1, true)
 		if p := agree.Predict(5); i >= n/2 && p {
 			am++
 		}
-		agree.Update(5, false)
+		agree.PredictUpdate(5, false)
 
 		if p := gs.Predict(1); i >= n/2 && !p {
 			gm++
 		}
-		gs.Update(1, true)
+		gs.PredictUpdate(1, true)
 		if p := gs.Predict(5); i >= n/2 && p {
 			gm++
 		}
-		gs.Update(5, false)
+		gs.PredictUpdate(5, false)
 	}
 	if am != 0 {
 		t.Errorf("agree missed %d under aliasing", am)
@@ -74,7 +74,7 @@ func TestAgreeHistoryCorrelation(t *testing.T) {
 		if p := a.Predict(0x9); i >= n/2 && p != out {
 			misses++
 		}
-		a.Update(0x9, out)
+		a.PredictUpdate(0x9, out)
 	}
 	if misses != 0 {
 		t.Errorf("agree missed %d on alternating branch", misses)
@@ -83,9 +83,9 @@ func TestAgreeHistoryCorrelation(t *testing.T) {
 
 func TestAgreeResetAndName(t *testing.T) {
 	a := NewAgree(8, 4)
-	a.Update(3, true)
+	a.PredictUpdate(3, true)
 	a.Reset()
-	a.Update(3, false)
+	a.PredictUpdate(3, false)
 	if a.Predict(3) {
 		t.Error("bias survived reset")
 	}

@@ -3,6 +3,12 @@
 // gshare, gselect), two-level local (PAg), and a McFarling-style
 // tournament predictor.
 //
+// Every predictor trains through one predict-then-train step,
+// PredictUpdate; Predict is the state-free peek at the prediction that
+// step would make. The oracle (internal/oracle) drives PredictUpdate
+// against naive reference models, so the step it checks is the one every
+// experiment, sweep and serving session runs.
+//
 // Predictors with a global history register implement HistoryObserver,
 // which lets the paper's predicate global update mechanism (internal/core)
 // shift predicate-define outcomes into the same history the branch
@@ -11,16 +17,22 @@ package bpred
 
 import "fmt"
 
-// Predictor predicts conditional-branch directions. Predict must not
-// change predictor state; Update supplies the resolved outcome and trains
-// tables and histories.
+// Predictor predicts conditional-branch directions. Training has one
+// entry point, PredictUpdate: the predict-then-train step every consumer
+// runs per branch. Callers that train without wanting the prediction
+// (a filtered branch under TrainFiltered, a probe's warm-up) call it and
+// discard the result.
 type Predictor interface {
 	// Name identifies the predictor and its configuration.
 	Name() string
-	// Predict returns the predicted direction for the branch at pc.
+	// Predict returns the predicted direction for the branch at pc
+	// without changing any state: it is the prediction PredictUpdate
+	// would return for pc now.
 	Predict(pc uint64) bool
-	// Update trains the predictor with the branch's actual outcome.
-	Update(pc uint64, taken bool)
+	// PredictUpdate returns the prediction for pc and trains with the
+	// branch's actual outcome in one step, computing shared work (table
+	// indices, perceptron sums, bias lookups) once.
+	PredictUpdate(pc uint64, taken bool) bool
 	// Reset restores the initial state.
 	Reset()
 }
@@ -33,48 +45,12 @@ type HistoryObserver interface {
 	ObserveBit(bit bool)
 }
 
-// Fused is implemented by predictors offering a fused predict+train step.
-// PredictUpdate(pc, taken) must be exactly equivalent to
-//
-//	pred := p.Predict(pc)
-//	p.Update(pc, taken)
-//
-// but computes shared work (table indices, perceptron sums, bias lookups)
-// once instead of twice. Every concrete predictor in this package
-// implements it; the evaluator and the timing model take any predictor
-// through AsFused, so they make one predictor call per branch.
-type Fused interface {
-	Predictor
-	// PredictUpdate returns the prediction for pc and trains with the
-	// actual outcome in one step.
-	PredictUpdate(pc uint64, taken bool) bool
-}
-
-// AsFused returns p itself when it implements Fused, and otherwise a
-// wrapper whose PredictUpdate runs p's Predict and then its Update.
-func AsFused(p Predictor) Fused {
-	if f, ok := p.(Fused); ok {
-		return f
-	}
-	return splitFused{p}
-}
-
-// splitFused adapts a Predictor without a fused step to Fused.
-type splitFused struct{ Predictor }
-
-// PredictUpdate implements Fused.
-func (s splitFused) PredictUpdate(pc uint64, taken bool) bool {
-	pred := s.Predict(pc)
-	s.Update(pc, taken)
-	return pred
-}
-
 // counterInit is the initial 2-bit counter value: 1, weakly not-taken,
 // the usual convention. Counters live packed in ctrTable words; values
 // 0..3 predict taken when >= 2.
 const counterInit = 1
 
-// b2u is the branch-free bool-to-bit conversion the fused history shifts
+// b2u is the branch-free bool-to-bit conversion the history shifts
 // and the packed counter update use; the compiler lowers it to a SETcc,
 // keeping PredictUpdate loops free of extra branches.
 func b2u(b bool) uint64 {
@@ -101,10 +77,7 @@ func (s *Static) Name() string {
 // Predict implements Predictor.
 func (s *Static) Predict(uint64) bool { return s.Taken }
 
-// Update implements Predictor.
-func (s *Static) Update(uint64, bool) {}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (s *Static) PredictUpdate(uint64, bool) bool { return s.Taken }
 
 // Reset implements Predictor.
@@ -129,12 +102,7 @@ func (b *Bimodal) Name() string { return fmt.Sprintf("bimodal-%d", b.bits) }
 // Predict implements Predictor.
 func (b *Bimodal) Predict(pc uint64) bool { return b.table.taken(b.index(pc)) }
 
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	b.table.update(b.index(pc), taken)
-}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (b *Bimodal) PredictUpdate(pc uint64, taken bool) bool {
 	return b.table.predictUpdate(b.index(pc), b2u(taken))
 }
@@ -168,13 +136,7 @@ func (g *GShare) Name() string { return fmt.Sprintf("gshare-%d.%d", g.tableBits,
 // Predict implements Predictor.
 func (g *GShare) Predict(pc uint64) bool { return g.table.taken(g.index(pc)) }
 
-// Update implements Predictor.
-func (g *GShare) Update(pc uint64, taken bool) {
-	g.table.update(g.index(pc), taken)
-	g.ObserveBit(taken)
-}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (g *GShare) PredictUpdate(pc uint64, taken bool) bool {
 	up := b2u(taken)
 	pred := g.table.predictUpdate(g.index(pc), up)
@@ -227,13 +189,7 @@ func (g *GSelect) Name() string { return fmt.Sprintf("gselect-%d.%d", g.tableBit
 // Predict implements Predictor.
 func (g *GSelect) Predict(pc uint64) bool { return g.table.taken(g.index(pc)) }
 
-// Update implements Predictor.
-func (g *GSelect) Update(pc uint64, taken bool) {
-	g.table.update(g.index(pc), taken)
-	g.ObserveBit(taken)
-}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (g *GSelect) PredictUpdate(pc uint64, taken bool) bool {
 	up := b2u(taken)
 	pred := g.table.predictUpdate(g.index(pc), up)
@@ -276,13 +232,7 @@ func (g *GAg) Predict(uint64) bool {
 	return g.table.taken(g.hist & g.table.mask)
 }
 
-// Update implements Predictor.
-func (g *GAg) Update(_ uint64, taken bool) {
-	g.table.update(g.hist&g.table.mask, taken)
-	g.ObserveBit(taken)
-}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (g *GAg) PredictUpdate(_ uint64, taken bool) bool {
 	up := b2u(taken)
 	pred := g.table.predictUpdate(g.hist&g.table.mask, up)
@@ -341,17 +291,7 @@ func (l *Local) Name() string {
 // Predict implements Predictor.
 func (l *Local) Predict(pc uint64) bool { return l.table.taken(l.patIndex(pc)) }
 
-// Update implements Predictor.
-func (l *Local) Update(pc uint64, taken bool) {
-	l.table.update(l.patIndex(pc), taken)
-	hi := l.histIndex(pc)
-	l.hists[hi] <<= 1
-	if taken {
-		l.hists[hi] |= 1
-	}
-}
-
-// PredictUpdate implements Fused.
+// PredictUpdate implements Predictor.
 func (l *Local) PredictUpdate(pc uint64, taken bool) bool {
 	hi := l.histIndex(pc)
 	h := l.hists[hi] & ((1 << l.histBits) - 1)
@@ -401,21 +341,10 @@ func (t *Tournament) Predict(pc uint64) bool {
 	return t.local.Predict(pc)
 }
 
-// Update implements Predictor.
-func (t *Tournament) Update(pc uint64, taken bool) {
-	g := t.global.Predict(pc)
-	l := t.local.Predict(pc)
-	if g != l {
-		t.chooser.update(t.chIndex(pc), g == taken)
-	}
-	t.global.Update(pc, taken)
-	t.local.Update(pc, taken)
-}
-
-// PredictUpdate implements Fused. The chooser is read before any
-// component trains, so the returned prediction matches Predict-then-Update
-// exactly; the component predictions come back from the components' own
-// fused steps instead of being computed twice.
+// PredictUpdate implements Predictor. The chooser is read before any
+// component trains, so the returned prediction is the one Predict would
+// have made; the component predictions come back from the components' own
+// steps instead of being computed twice.
 func (t *Tournament) PredictUpdate(pc uint64, taken bool) bool {
 	ci := t.chIndex(pc)
 	useGlobal := t.chooser.taken(ci)
@@ -453,11 +382,4 @@ var (
 	_ HistoryObserver = (*GSelect)(nil)
 	_ HistoryObserver = (*GAg)(nil)
 	_ HistoryObserver = (*Tournament)(nil)
-	_ Fused           = (*Static)(nil)
-	_ Fused           = (*Bimodal)(nil)
-	_ Fused           = (*GShare)(nil)
-	_ Fused           = (*GSelect)(nil)
-	_ Fused           = (*GAg)(nil)
-	_ Fused           = (*Local)(nil)
-	_ Fused           = (*Tournament)(nil)
 )

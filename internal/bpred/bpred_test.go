@@ -16,7 +16,7 @@ func trainAndMeasure(p Predictor, pcs []uint64, outcomes []bool) int {
 		if i >= half && pred != outcomes[i] {
 			misses++
 		}
-		p.Update(pcs[i], outcomes[i])
+		p.PredictUpdate(pcs[i], outcomes[i])
 	}
 	return misses
 }
@@ -36,7 +36,7 @@ func TestStatic(t *testing.T) {
 	if !st.Predict(0) {
 		t.Error("static-taken predicted not-taken")
 	}
-	st.Update(0, false)
+	st.PredictUpdate(0, false)
 	if !st.Predict(0) {
 		t.Error("static changed after update")
 	}
@@ -57,14 +57,14 @@ func TestBimodalHysteresis(t *testing.T) {
 	b := NewBimodal(10)
 	// Saturate taken.
 	for i := 0; i < 10; i++ {
-		b.Update(4, true)
+		b.PredictUpdate(4, true)
 	}
 	// One not-taken must not flip the prediction (2-bit hysteresis).
-	b.Update(4, false)
+	b.PredictUpdate(4, false)
 	if !b.Predict(4) {
 		t.Error("single not-taken flipped a saturated counter")
 	}
-	b.Update(4, false)
+	b.PredictUpdate(4, false)
 	if b.Predict(4) {
 		t.Error("two not-takens should flip the prediction")
 	}
@@ -76,19 +76,19 @@ func TestBimodalAliasing(t *testing.T) {
 	small := NewBimodal(2)
 	// pc 1 and pc 5 collide (index mask 3).
 	for i := 0; i < 8; i++ {
-		small.Update(1, true)
+		small.PredictUpdate(1, true)
 	}
-	small.Update(5, false)
-	small.Update(5, false)
+	small.PredictUpdate(5, false)
+	small.PredictUpdate(5, false)
 	if small.Predict(1) {
 		t.Error("expected destructive aliasing in tiny table")
 	}
 	big := NewBimodal(10)
 	for i := 0; i < 8; i++ {
-		big.Update(1, true)
+		big.PredictUpdate(1, true)
 	}
-	big.Update(5, false)
-	big.Update(5, false)
+	big.PredictUpdate(5, false)
+	big.PredictUpdate(5, false)
 	if !big.Predict(1) {
 		t.Error("unexpected aliasing in large table")
 	}
@@ -106,7 +106,7 @@ func TestGShareLearnsAlternation(t *testing.T) {
 		if i >= n/2 && pred != out {
 			misses++
 		}
-		g.Update(0x10, out)
+		g.PredictUpdate(0x10, out)
 	}
 	if misses != 0 {
 		t.Errorf("gshare missed %d on alternating branch", misses)
@@ -118,7 +118,7 @@ func TestGShareLearnsAlternation(t *testing.T) {
 		if p := b.Predict(0x10); i >= n/2 && p != out {
 			bm++
 		}
-		b.Update(0x10, out)
+		b.PredictUpdate(0x10, out)
 	}
 	if bm < n/4 {
 		t.Errorf("bimodal unexpectedly good on alternation: %d misses", bm)
@@ -136,17 +136,17 @@ func TestGShareLearnsCorrelation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a := r.Bool()
 		// Branch A at pc 0x100.
-		g.Update(0x100, a)
-		b.Update(0x100, a)
+		g.PredictUpdate(0x100, a)
+		b.PredictUpdate(0x100, a)
 		// Branch B at pc 0x200 repeats a.
 		if p := g.Predict(0x200); i >= n/2 && p != a {
 			gm++
 		}
-		g.Update(0x200, a)
+		g.PredictUpdate(0x200, a)
 		if p := b.Predict(0x200); i >= n/2 && p != a {
 			bm++
 		}
-		b.Update(0x200, a)
+		b.PredictUpdate(0x200, a)
 	}
 	if gm > n/50 {
 		t.Errorf("gshare missed %d/%d on correlated branch", gm, n/2)
@@ -165,7 +165,7 @@ func TestGAgAndGSelectLearnAlternation(t *testing.T) {
 			if pred := p.Predict(0x30); i >= n/2 && pred != out {
 				misses++
 			}
-			p.Update(0x30, out)
+			p.PredictUpdate(0x30, out)
 		}
 		if misses != 0 {
 			t.Errorf("%s missed %d on alternating branch", p.Name(), misses)
@@ -183,7 +183,7 @@ func TestLocalLearnsPeriodicPattern(t *testing.T) {
 		if p := l.Predict(0x44); i >= n/2 && p != out {
 			misses++
 		}
-		l.Update(0x44, out)
+		l.PredictUpdate(0x44, out)
 	}
 	if misses != 0 {
 		t.Errorf("local missed %d on periodic branch", misses)
@@ -200,9 +200,9 @@ func TestLocalHistoriesAreIndependent(t *testing.T) {
 		if p := l.Predict(1); i >= n/2 && !p {
 			misses++
 		}
-		l.Update(1, true)
+		l.PredictUpdate(1, true)
 		out := i%2 == 0
-		l.Update(2, out)
+		l.PredictUpdate(2, out)
 	}
 	if misses != 0 {
 		t.Errorf("local missed %d on constant branch with busy neighbour", misses)
@@ -220,7 +220,7 @@ func TestTournamentBeatsWorseComponent(t *testing.T) {
 		if p := tp.Predict(0x50); i >= n/2 && p != out {
 			misses++
 		}
-		tp.Update(0x50, out)
+		tp.PredictUpdate(0x50, out)
 	}
 	if misses > n/50 {
 		t.Errorf("tournament missed %d on alternating branch", misses)
@@ -248,9 +248,9 @@ func TestObserveBitChangesPrediction(t *testing.T) {
 	// With history 0: train taken. With history 1: train not-taken.
 	for i := 0; i < 4; i++ {
 		g.hist = 0
-		g.Update(0x7, true)
+		g.PredictUpdate(0x7, true)
 		g.hist = 1
-		g.Update(0x7, false)
+		g.PredictUpdate(0x7, false)
 	}
 	g.hist = 0
 	if !g.Predict(0x7) {
@@ -269,7 +269,7 @@ func TestResetClearsState(t *testing.T) {
 	}
 	for _, p := range preds {
 		for i := 0; i < 50; i++ {
-			p.Update(uint64(i%7), true)
+			p.PredictUpdate(uint64(i%7), true)
 		}
 		p.Reset()
 		// After reset, counters are weakly not-taken everywhere.
@@ -300,14 +300,14 @@ func TestGSelectClampsHistBits(t *testing.T) {
 	g := NewGSelect(4, 10)
 	// Must not panic and must index within the table.
 	for i := 0; i < 100; i++ {
-		g.Update(uint64(i), i%3 == 0)
+		g.PredictUpdate(uint64(i), i%3 == 0)
 	}
 }
 
 func TestPredictDoesNotMutate(t *testing.T) {
 	g := NewGShare(10, 8)
 	for i := 0; i < 20; i++ {
-		g.Update(9, i%2 == 0)
+		g.PredictUpdate(9, i%2 == 0)
 	}
 	h := g.History()
 	p1 := g.Predict(9)

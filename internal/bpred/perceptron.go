@@ -104,25 +104,10 @@ func (p *Perceptron) train(w []int8, taken bool) {
 	}
 }
 
-// Update implements Predictor.
-func (p *Perceptron) Update(pc uint64, taken bool) {
-	w := p.row(p.index(pc))
-	y := p.dot(w)
-	mispredicted := (y >= 0) != taken
-	mag := y
-	if mag < 0 {
-		mag = -mag
-	}
-	if mispredicted || mag <= p.theta {
-		p.train(w, taken)
-	}
-	p.ObserveBit(taken)
-}
-
-// PredictUpdate implements Fused. The perceptron sum — a walk over every
-// history bit's weight — is by far the predictor's dominant cost, and the
-// split Predict/Update API computes it twice per branch; the fused step
-// computes it once, over the row resolved once.
+// PredictUpdate implements Predictor. The perceptron sum — a walk over
+// every history bit's weight — is by far the predictor's dominant cost;
+// the step computes it once, over the row resolved once, and both the
+// prediction and the training decision read it.
 func (p *Perceptron) PredictUpdate(pc uint64, taken bool) bool {
 	w := p.row(p.index(pc))
 	y := p.dot(w)
@@ -161,5 +146,4 @@ func (p *Perceptron) Reset() {
 var (
 	_ Predictor       = (*Perceptron)(nil)
 	_ HistoryObserver = (*Perceptron)(nil)
-	_ Fused           = (*Perceptron)(nil)
 )

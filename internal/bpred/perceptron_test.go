@@ -14,7 +14,7 @@ func TestPerceptronLearnsBias(t *testing.T) {
 		if pr := p.Predict(0x11); i >= n/2 && !pr {
 			misses++
 		}
-		p.Update(0x11, true)
+		p.PredictUpdate(0x11, true)
 	}
 	if misses != 0 {
 		t.Errorf("perceptron missed %d on constant branch", misses)
@@ -30,7 +30,7 @@ func TestPerceptronLearnsAlternation(t *testing.T) {
 		if pr := p.Predict(0x22); i >= n/2 && pr != out {
 			misses++
 		}
-		p.Update(0x22, out)
+		p.PredictUpdate(0x22, out)
 	}
 	if misses != 0 {
 		t.Errorf("perceptron missed %d on alternation", misses)
@@ -46,13 +46,13 @@ func TestPerceptronLearnsSingleBitCorrelation(t *testing.T) {
 	n := 3000
 	for i := 0; i < n; i++ {
 		a := r.Bool()
-		p.Update(0x100, a)
-		p.Update(0x200, r.Bool()) // noise
-		p.Update(0x300, r.Bool()) // noise
+		p.PredictUpdate(0x100, a)
+		p.PredictUpdate(0x200, r.Bool()) // noise
+		p.PredictUpdate(0x300, r.Bool()) // noise
 		if pr := p.Predict(0x400); i >= n/2 && pr != a {
 			misses++
 		}
-		p.Update(0x400, a)
+		p.PredictUpdate(0x400, a)
 	}
 	// Threshold-based training keeps |y| near theta, so noise bits flip a
 	// small fraction of predictions; ~7% residual error is expected.
@@ -74,17 +74,17 @@ func TestPerceptronCannotLearnXOR(t *testing.T) {
 		a, b := r.Bool(), r.Bool()
 		x := a != b
 		for _, pr := range []Predictor{p, g} {
-			pr.Update(0x100, a)
-			pr.Update(0x200, b)
+			pr.PredictUpdate(0x100, a)
+			pr.PredictUpdate(0x200, b)
 		}
 		if pr := p.Predict(0x300); i >= n/2 && pr != x {
 			pm++
 		}
-		p.Update(0x300, x)
+		p.PredictUpdate(0x300, x)
 		if pr := g.Predict(0x300); i >= n/2 && pr != x {
 			gm++
 		}
-		g.Update(0x300, x)
+		g.PredictUpdate(0x300, x)
 	}
 	if gm > n/40 {
 		t.Errorf("gshare missed %d on XOR (test broken?)", gm)
@@ -97,7 +97,7 @@ func TestPerceptronCannotLearnXOR(t *testing.T) {
 func TestPerceptronWeightSaturation(t *testing.T) {
 	p := NewPerceptron(4, 4)
 	for i := 0; i < 1000; i++ {
-		p.Update(1, true)
+		p.PredictUpdate(1, true)
 	}
 	w := p.row(p.index(1))
 	for i, v := range w {
@@ -110,7 +110,7 @@ func TestPerceptronWeightSaturation(t *testing.T) {
 func TestPerceptronResetAndName(t *testing.T) {
 	p := NewPerceptron(6, 10)
 	for i := 0; i < 50; i++ {
-		p.Update(2, true)
+		p.PredictUpdate(2, true)
 	}
 	p.Reset()
 	// Fresh perceptron with zero weights predicts taken (y = 0 >= 0);

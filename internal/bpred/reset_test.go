@@ -37,7 +37,7 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 					pc := r.Bits(20)
 					taken := r.Bool()
 					out = append(out, p.Predict(pc))
-					p.Update(pc, taken)
+					p.PredictUpdate(pc, taken)
 					if isObs && r.Chance(0.15) {
 						obs.ObserveBit(r.Bool())
 					}

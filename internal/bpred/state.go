@@ -15,7 +15,7 @@ import (
 //
 // The contract is byte-identical resume: after LoadState, the predictor
 // must behave exactly as the snapshotted one would on every future
-// Predict/Update/PredictUpdate/ObserveBit call. Every concrete predictor
+// Predict, PredictUpdate and ObserveBit call. Every concrete predictor
 // kind in this package implements it.
 type Stater interface {
 	Predictor

@@ -15,7 +15,7 @@ func drive(p Predictor, seed uint64, n int) {
 	obs, _ := p.(HistoryObserver)
 	for i := 0; i < n; i++ {
 		pc := r.Uint64() % 64
-		p.Update(pc, r.Uint64()&3 != 0)
+		p.PredictUpdate(pc, r.Uint64()&3 != 0)
 		if obs != nil && r.Uint64()&7 == 0 {
 			obs.ObserveBit(r.Uint64()&1 == 1)
 		}
@@ -27,7 +27,7 @@ func drive(p Predictor, seed uint64, n int) {
 // with the original on every future prediction — and to re-serialize to
 // the identical bytes.
 func TestStateRoundTripResume(t *testing.T) {
-	for name, build := range fusedPairs() {
+	for name, build := range predictorPairs() {
 		t.Run(name, func(t *testing.T) {
 			orig, twin := build()
 			drive(orig, 42, 5000)
@@ -52,8 +52,8 @@ func TestStateRoundTripResume(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				pc := r.Uint64() % 64
 				taken := r.Uint64()&3 == 0
-				po := orig.(Fused).PredictUpdate(pc, taken)
-				pt := twin.(Fused).PredictUpdate(pc, taken)
+				po := orig.PredictUpdate(pc, taken)
+				pt := twin.PredictUpdate(pc, taken)
 				if po != pt {
 					t.Fatalf("event %d: original predicted %v, restored twin %v", i, po, pt)
 				}
@@ -73,7 +73,7 @@ func TestStateRoundTripResume(t *testing.T) {
 // TestLoadStateRejectsTruncation checks every kind fails cleanly on a
 // truncated payload instead of loading partial state silently.
 func TestLoadStateRejectsTruncation(t *testing.T) {
-	for name, build := range fusedPairs() {
+	for name, build := range predictorPairs() {
 		if name == "static-taken" || name == "static-nottaken" {
 			continue // zero-length state cannot be truncated
 		}

@@ -22,9 +22,9 @@
 //   - counter width via hysteresis: saturate an entry, then count the
 //     opposing updates needed to flip its prediction.
 //
-// Probes exercise Update/Predict only; Predict is specified state-free,
-// so scans cost nothing. All probe inputs are deterministic (seeded),
-// so a verdict is reproducible in CI.
+// Probes train through PredictUpdate and read through Predict, the
+// state-free peek, so scans cost nothing. All probe inputs are
+// deterministic (seeded), so a verdict is reproducible in CI.
 package probe
 
 import (
@@ -235,7 +235,7 @@ func Compare(r Result, exp Expect) error {
 // updN feeds n identical outcomes at one pc.
 func updN(p bpred.Predictor, pc uint64, taken bool, n int) {
 	for i := 0; i < n; i++ {
-		p.Update(pc, taken)
+		p.PredictUpdate(pc, taken)
 	}
 }
 
@@ -264,10 +264,9 @@ func learnsAlternating(mk func() bpred.Predictor) bool {
 	correct := 0
 	for i := 0; i < n; i++ {
 		taken := i%2 == 0
-		if i >= n/2 && p.Predict(0) == taken {
+		if p.PredictUpdate(0, taken) == taken && i >= n/2 {
 			correct++
 		}
-		p.Update(0, taken)
 	}
 	return float64(correct)/(n/2) >= 0.9
 }
@@ -328,13 +327,13 @@ func lagAccuracy(p bpred.Predictor, k, n int) float64 {
 			}
 		}
 		y := pat[pos%k]
+		pred := p.PredictUpdate(0, y)
 		if pos >= k && t >= n/2 {
 			measured++
-			if p.Predict(0) == y {
+			if pred == y {
 				correct++
 			}
 		}
-		p.Update(0, y)
 	}
 	if measured == 0 {
 		return 0
@@ -386,9 +385,9 @@ func rampPCTable(mk func() bpred.Predictor) (int, error) {
 func rampGlobalXOR(mk func() bpred.Predictor, histBits, pcShift int) (int, error) {
 	for k := 1; k <= maxRamp; k++ {
 		p := mk()
-		p.Update(0, false)
+		p.PredictUpdate(0, false)
 		for round := 0; round < 3; round++ {
-			p.Update(0, true)
+			p.PredictUpdate(0, true)
 			updN(p, 0, false, histBits)
 		}
 		if p.Predict(1 << uint(k)) {
@@ -447,13 +446,13 @@ func rampPerceptron(mk func() bpred.Predictor, claimed int) (int, error) {
 		correct, measured := 0, 0
 		for t := 0; t < n; t++ {
 			pc := uint64(r.Intn(size))
+			pred := p.PredictUpdate(pc, outcome[pc])
 			if t >= n/2 {
 				measured++
-				if p.Predict(pc) == outcome[pc] {
+				if pred == outcome[pc] {
 					correct++
 				}
 			}
-			p.Update(pc, outcome[pc])
 		}
 		return float64(correct)/float64(measured) >= 0.85
 	}
@@ -491,7 +490,7 @@ func hysteresis(mk func() bpred.Predictor, flushLen int) int {
 	p := mk()
 	updN(p, 0, false, 64)
 	for round := 1; round <= flipCap; round++ {
-		p.Update(0, true)
+		p.PredictUpdate(0, true)
 		updN(p, 0, false, flushLen)
 		if p.Predict(0) {
 			return round

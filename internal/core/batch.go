@@ -3,13 +3,11 @@
 // Every consumer — experiment sweeps, the differential oracle, serving
 // sessions, trace replay CLIs — advances an Evaluator through FeedBatch;
 // Feed is its one-event case. The loop makes one predictor call per
-// predicted branch through bpred.Fused: NewEvaluator takes the predictor
-// through bpred.AsFused, so the internal/bpred kinds run their fused
-// PredictUpdate step (index math and perceptron sums computed once) and
-// any other Predictor runs Predict then Update behind the same call.
-// When SFPF, PGU and per-branch statistics are all off — the serving
-// configuration — FeedBatch runs feedTight, which has no filter,
-// pending-bit or per-branch work to skip.
+// branch it trains: PredictUpdate, the predictor's one predict-then-train
+// step. A filtered branch under TrainFiltered takes the same step and
+// discards the prediction. When SFPF, PGU and per-branch statistics are
+// all off — the serving configuration — FeedBatch runs feedTight, which
+// has no filter, pending-bit or per-branch work to skip.
 
 package core
 
@@ -29,21 +27,18 @@ func (e *Evaluator) Feed(ev *trace.Event) { e.FeedBatch(unsafe.Slice(ev, 1)) }
 // order across batches, as with Feed. FeedBatch only reads the events;
 // the caller may reuse the slice afterwards.
 func (e *Evaluator) FeedBatch(events []trace.Event) {
-	if !e.cfg.UseSFPF && !e.cfg.PerBranch && e.pgu == nil && len(e.pending) == 0 {
+	if !e.cfg.UseSFPF && !e.cfg.PerBranch && e.pgu == PGUOff && len(e.pending) == 0 {
 		e.feedTight(events)
 		return
 	}
-	p := e.f
+	p := e.p
 	useSFPF := e.cfg.UseSFPF
 	filterTrue := e.cfg.FilterTrue
 	trainFiltered := e.cfg.TrainFiltered
 	resolveDelay := e.cfg.ResolveDelay
 	perBranch := e.cfg.PerBranch
 	pguDelay := e.cfg.PGUDelay
-	var pguPolicy PGUPolicy
-	if e.pgu != nil {
-		pguPolicy = e.pgu.Policy
-	}
+	pguPolicy := e.pgu
 	m := &e.m
 	for i := range events {
 		ev := &events[i]
@@ -53,7 +48,9 @@ func (e *Evaluator) FeedBatch(events []trace.Event) {
 		switch ev.Kind {
 		case trace.KindPredDef:
 			m.PredDefs++
-			if e.pgu != nil && pguPolicy.Selects(ev) && ev.Executed {
+			// Testing PGUOff first keeps the Selects call off every
+			// define when PGU is off (measured, EXPERIMENTS.md).
+			if pguPolicy != PGUOff && pguPolicy.Selects(ev) && ev.Executed {
 				e.pending = append(e.pending, pendingBit{applyAt: ev.Step + pguDelay, bit: ev.Value})
 			}
 		case trace.KindBranch:
@@ -87,7 +84,7 @@ func (e *Evaluator) FeedBatch(events []trace.Event) {
 						bs.Filtered++
 					}
 					if trainFiltered {
-						p.Update(ev.PC, ev.Taken)
+						p.PredictUpdate(ev.PC, ev.Taken)
 					}
 					continue
 				}
@@ -101,7 +98,7 @@ func (e *Evaluator) FeedBatch(events []trace.Event) {
 						bs.Filtered++
 					}
 					if trainFiltered {
-						p.Update(ev.PC, ev.Taken)
+						p.PredictUpdate(ev.PC, ev.Taken)
 					}
 					continue
 				}
@@ -120,13 +117,13 @@ func (e *Evaluator) FeedBatch(events []trace.Event) {
 }
 
 // feedTight is FeedBatch for the configuration with SFPF off, PGU off
-// (nil — an off policy or a history-less predictor), no per-branch
+// (an off policy or a history-less predictor), no per-branch
 // statistics and nothing pending: each branch event is counter
 // bookkeeping plus one predictor step, and predicate defines only count.
 // It is kept apart because it measured faster than the full loop on that
 // configuration (EXPERIMENTS.md, "Engine: one feed loop").
 func (e *Evaluator) feedTight(events []trace.Event) {
-	p := e.f
+	p := e.p
 	m := &e.m
 	for i := range events {
 		ev := &events[i]

@@ -12,7 +12,7 @@ import (
 )
 
 // specializedPredictors builds one instance of every concrete predictor
-// kind, each of which implements bpred.Fused.
+// kind.
 func specializedPredictors() map[string]func() bpred.Predictor {
 	return map[string]func() bpred.Predictor{
 		"static":     func() bpred.Predictor { return bpred.NewStatic(true) },
@@ -155,30 +155,6 @@ func metricsDiffTest(a, b Metrics) string {
 		}
 	}
 	return out
-}
-
-// unregisteredPredictor is a Predictor without a fused step, so the
-// evaluator runs it through bpred.AsFused's Predict-then-Update wrapper.
-type unregisteredPredictor struct{ last bool }
-
-func (u *unregisteredPredictor) Name() string            { return "unregistered" }
-func (u *unregisteredPredictor) Predict(pc uint64) bool  { return u.last }
-func (u *unregisteredPredictor) Update(_ uint64, t bool) { u.last = t }
-func (u *unregisteredPredictor) Reset()                  { u.last = false }
-
-// TestFeedBatchFallback checks a predictor without a fused step: it must
-// still evaluate, with batch metrics identical to per-event feeding.
-func TestFeedBatchFallback(t *testing.T) {
-	events := syntheticBatch(2048)
-	gen := NewEvaluator(EvalConfig{Predictor: &unregisteredPredictor{}})
-	for i := range events {
-		gen.Feed(&events[i])
-	}
-	bat := NewEvaluator(EvalConfig{Predictor: &unregisteredPredictor{}})
-	bat.FeedBatch(events)
-	if got, want := bat.Metrics(), gen.Metrics(); !reflect.DeepEqual(got, want) {
-		t.Errorf("fallback batch metrics diverge:\n%s", metricsDiffTest(got, want))
-	}
 }
 
 // TestPendingCapacityBounded feeds a long PGU-heavy stream — bursts of

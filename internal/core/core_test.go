@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bpred"
@@ -130,15 +131,29 @@ func TestPGUPolicyStrings(t *testing.T) {
 	}
 }
 
-func TestNewPGUNilForNonGlobalPredictor(t *testing.T) {
-	if NewPGU(PGUAll, bpred.NewBimodal(8)) != nil {
-		t.Error("PGU created over a predictor with no global history")
+// TestPGUOffWithoutOpenHistory: PGU inserts into the predictor's global
+// history, so over a predictor without one (bimodal) PGUAll inserts no
+// bits and evaluates exactly as PGUOff does, while gshare under the same
+// stream inserts bits under PGUAll and none under PGUOff.
+func TestPGUOffWithoutOpenHistory(t *testing.T) {
+	events := syntheticBatch(4096)
+	run := func(p bpred.Predictor, policy PGUPolicy) Metrics {
+		e := NewEvaluator(EvalConfig{Predictor: p, PGU: policy})
+		e.FeedBatch(events)
+		return e.Metrics()
 	}
-	if NewPGU(PGUOff, bpred.NewGShare(8, 8)) != nil {
-		t.Error("PGU created with policy off")
+	on, off := run(bpred.NewBimodal(8), PGUAll), run(bpred.NewBimodal(8), PGUOff)
+	if on.InsertedBits != 0 {
+		t.Errorf("bimodal under PGUAll inserted %d history bits, want 0", on.InsertedBits)
 	}
-	if NewPGU(PGUAll, bpred.NewGShare(8, 8)) == nil {
-		t.Error("PGU not created over gshare")
+	if !reflect.DeepEqual(on, off) {
+		t.Errorf("bimodal under PGUAll diverges from PGUOff:\n%s", metricsDiffTest(on, off))
+	}
+	if m := run(bpred.NewGShare(8, 8), PGUAll); m.InsertedBits == 0 {
+		t.Error("gshare under PGUAll inserted no history bits")
+	}
+	if m := run(bpred.NewGShare(8, 8), PGUOff); m.InsertedBits != 0 {
+		t.Errorf("gshare under PGUOff inserted %d history bits", m.InsertedBits)
 	}
 }
 

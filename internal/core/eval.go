@@ -210,9 +210,8 @@ func Evaluate(tr *trace.Trace, cfg EvalConfig) Metrics {
 type Evaluator struct {
 	cfg     EvalConfig
 	p       bpred.Predictor
-	f       bpred.Fused // p through bpred.AsFused: the feed loop's one call
 	obs     bpred.HistoryObserver
-	pgu     *PGU
+	pgu     PGUPolicy // cfg.PGU, or PGUOff when p has no open history
 	pending []pendingBit
 	m       Metrics
 }
@@ -222,8 +221,13 @@ type Evaluator struct {
 func NewEvaluator(cfg EvalConfig) *Evaluator {
 	p := cfg.Predictor
 	p.Reset()
-	e := &Evaluator{cfg: cfg, p: p, f: bpred.AsFused(p), pgu: NewPGU(cfg.PGU, p)}
-	e.obs, _ = p.(bpred.HistoryObserver)
+	e := &Evaluator{cfg: cfg, p: p}
+	// PGU needs a history to insert into: on a predictor without one
+	// (bimodal, local) the mechanism is a no-op, as it would be in
+	// hardware.
+	if e.obs, _ = p.(bpred.HistoryObserver); e.obs != nil {
+		e.pgu = cfg.PGU
+	}
 	return e
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bpred"
 	"repro/internal/trace"
 )
 
@@ -79,33 +78,4 @@ func (p PGUPolicy) SelectsDefine(feedsBranch, feedsRegion bool) bool {
 		return true
 	}
 	return false
-}
-
-// PGU binds a policy to a predictor whose history accepts outside bits.
-// It is the hardware-facing form of the mechanism: the pipeline model calls
-// ObserveDefine as compares resolve.
-type PGU struct {
-	Policy PGUPolicy
-	obs    bpred.HistoryObserver
-}
-
-// NewPGU returns a PGU feeding the predictor's global history, or nil if
-// the predictor has no global history to feed (e.g. bimodal or local): the
-// mechanism degrades to a no-op exactly as it would in hardware.
-func NewPGU(policy PGUPolicy, p bpred.Predictor) *PGU {
-	obs, ok := p.(bpred.HistoryObserver)
-	if !ok || policy == PGUOff {
-		return nil
-	}
-	return &PGU{Policy: policy, obs: obs}
-}
-
-// ObserveDefine inserts a resolved predicate-define outcome into the
-// history if the policy selects it.
-func (g *PGU) ObserveDefine(ev *trace.Event) bool {
-	if g == nil || !g.Policy.Selects(ev) || !ev.Executed {
-		return false
-	}
-	g.obs.ObserveBit(ev.Value)
-	return true
 }

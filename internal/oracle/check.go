@@ -14,9 +14,13 @@ const observeChance = 0.1
 
 // CheckPredictor drives got and want over the same randomized stream and
 // returns an error describing the first divergence, or nil if every
-// prediction matched. Both predictors are Reset first. When both expose
-// an open global history, predicate-style outside bits are injected into
-// the two histories in lockstep, so the ObserveBit path is differentially
+// prediction matched. Both predictors are Reset first. Each event peeks
+// got's Predict, then steps both through PredictUpdate: the step's
+// prediction must match the reference's, and the peek must match the
+// step, so the training step every consumer runs and the state-free
+// peek charz/probe reads are both checked. When both expose an open
+// global history, predicate-style outside bits are injected into the
+// two histories in lockstep, so the ObserveBit path is differentially
 // tested too.
 func CheckPredictor(got, want bpred.Predictor, s Stream) error {
 	s = s.withDefaults()
@@ -31,18 +35,31 @@ func CheckPredictor(got, want bpred.Predictor, s Stream) error {
 	g := newStreamGen(s)
 	for i := 0; i < s.Events; i++ {
 		pc, taken := g.next()
-		gp, wp := got.Predict(pc), want.Predict(pc)
-		if gp != wp {
-			return fmt.Errorf("oracle: %s diverges from %s at event %d: pc=%#x predicted taken=%v, reference says %v",
-				got.Name(), want.Name(), i, pc, gp, wp)
+		if err := checkStep(got, want, pc, taken); err != nil {
+			return fmt.Errorf("%w at event %d", err, i)
 		}
-		got.Update(pc, taken)
-		want.Update(pc, taken)
 		if gOK && g.r.Chance(observeChance) {
 			bit := g.r.Bool()
 			gObs.ObserveBit(bit)
 			wObs.ObserveBit(bit)
 		}
+	}
+	return nil
+}
+
+// checkStep peeks got's prediction for pc, steps got and want through
+// PredictUpdate with the outcome, and reports a step that diverges from
+// the reference or a peek that diverges from its own step.
+func checkStep(got, want bpred.Predictor, pc uint64, taken bool) error {
+	peek := got.Predict(pc)
+	gp, wp := got.PredictUpdate(pc, taken), want.PredictUpdate(pc, taken)
+	if gp != wp {
+		return fmt.Errorf("oracle: %s diverges from %s: pc=%#x predicted taken=%v, reference says %v",
+			got.Name(), want.Name(), pc, gp, wp)
+	}
+	if peek != gp {
+		return fmt.Errorf("oracle: %s diverges from its own step: pc=%#x Predict peeked taken=%v, PredictUpdate predicted %v",
+			got.Name(), pc, peek, gp)
 	}
 	return nil
 }

@@ -17,9 +17,9 @@ import (
 // packed word, which is exactly where a shift, mask, or transition-table
 // bug in the packed layout would hide. These streams aim at that
 // surface directly; the comparison is still end-to-end through the
-// public Predict/Update API, so every kind's index hashing sits between
-// the stream and the table, and the check stays valid no matter how the
-// storage layout evolves.
+// public Predict/PredictUpdate API, so every kind's index hashing sits
+// between the stream and the table, and the check stays valid no matter
+// how the storage layout evolves.
 
 // layoutEvent is one scripted (pc, outcome) step.
 type layoutEvent struct {
@@ -125,13 +125,9 @@ func checkScripted(got, want bpred.Predictor, stream string, evs []layoutEvent) 
 	got.Reset()
 	want.Reset()
 	for i, ev := range evs {
-		gp, wp := got.Predict(ev.pc), want.Predict(ev.pc)
-		if gp != wp {
-			return fmt.Errorf("oracle: %s diverges from %s on %s stream at event %d: pc=%#x predicted taken=%v, reference says %v",
-				got.Name(), want.Name(), stream, i, ev.pc, gp, wp)
+		if err := checkStep(got, want, ev.pc, ev.taken); err != nil {
+			return fmt.Errorf("%w on %s stream at event %d", err, stream, i)
 		}
-		got.Update(ev.pc, ev.taken)
-		want.Update(ev.pc, ev.taken)
 	}
 	return nil
 }

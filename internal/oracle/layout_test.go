@@ -28,10 +28,15 @@ type brokenLaneBimodal struct {
 	b *bpred.Bimodal
 }
 
-func (p *brokenLaneBimodal) Name() string             { return "broken-lane" }
-func (p *brokenLaneBimodal) Reset()                   { p.b.Reset() }
-func (p *brokenLaneBimodal) Predict(pc uint64) bool   { return p.b.Predict(pc) }
-func (p *brokenLaneBimodal) Update(pc uint64, t bool) { p.b.Update(pc^1, t) }
+func (p *brokenLaneBimodal) Name() string           { return "broken-lane" }
+func (p *brokenLaneBimodal) Reset()                 { p.b.Reset() }
+func (p *brokenLaneBimodal) Predict(pc uint64) bool { return p.b.Predict(pc) }
+
+func (p *brokenLaneBimodal) PredictUpdate(pc uint64, t bool) bool {
+	pred := p.b.Predict(pc)
+	p.b.PredictUpdate(pc^1, t)
+	return pred
+}
 
 // TestCheckLayoutCatchesLaneBug checks the streams have teeth: the
 // lane-neighbour stream pulls adjacent counters in opposite directions,

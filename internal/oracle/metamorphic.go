@@ -10,8 +10,8 @@ import (
 // This file holds the metamorphic checks: properties relating two runs of
 // the same implementation, needing no reference model at all.
 
-// replayPredictions resets p and replays the stream, returning the
-// prediction made before each update. Outside history bits are injected
+// replayPredictions resets p and replays the stream through PredictUpdate,
+// returning each step's prediction. Outside history bits are injected
 // at the same deterministic points on every call with the same Stream.
 func replayPredictions(p bpred.Predictor, s Stream) []bool {
 	s = s.withDefaults()
@@ -21,8 +21,7 @@ func replayPredictions(p bpred.Predictor, s Stream) []bool {
 	out := make([]bool, 0, s.Events)
 	for i := 0; i < s.Events; i++ {
 		pc, taken := g.next()
-		out = append(out, p.Predict(pc))
-		p.Update(pc, taken)
+		out = append(out, p.PredictUpdate(pc, taken))
 		if isObs && g.r.Chance(observeChance) {
 			obs.ObserveBit(g.r.Bool())
 		}
@@ -62,14 +61,12 @@ func CheckInterleaveInvariance(p bpred.Predictor, s Stream) error {
 	gb := newStreamGen(other)
 	for i := 0; i < s.Events; i++ {
 		pcA, takenA := ga.next()
-		if got := p.Predict(pcA); got != alone[i] {
+		if got := p.PredictUpdate(pcA, takenA); got != alone[i] {
 			return fmt.Errorf("oracle: %s changed its prediction under interleaving at event %d: alone %v, interleaved %v",
 				p.Name(), i, alone[i], got)
 		}
-		p.Update(pcA, takenA)
 		pcB, takenB := gb.next()
-		p.Predict(pcB)
-		p.Update(pcB, takenB)
+		p.PredictUpdate(pcB, takenB)
 	}
 	return nil
 }
@@ -126,13 +123,11 @@ func CheckTableDoubling(spec sim.Spec, s Stream) error {
 	bigObs, _ := bigP.(bpred.HistoryObserver)
 	for i := 0; i < s.Events; i++ {
 		pc, taken := g.next()
-		sp, bp := small.Predict(pc), bigP.Predict(pc)
+		sp, bp := small.PredictUpdate(pc, taken), bigP.PredictUpdate(pc, taken)
 		if sp != bp {
 			return fmt.Errorf("oracle: %s and %s diverge at event %d: pc=%#x small=%v doubled=%v",
 				small.Name(), bigP.Name(), i, pc, sp, bp)
 		}
-		small.Update(pc, taken)
-		bigP.Update(pc, taken)
 		if smallObs != nil && g.r.Chance(observeChance) {
 			bit := g.r.Bool()
 			smallObs.ObserveBit(bit)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/sim"
 )
 
@@ -66,14 +67,16 @@ func (b *brokenGShare) index(pc uint64) uint64 {
 
 func (b *brokenGShare) Predict(pc uint64) bool { return b.table[b.index(pc)] >= 2 }
 
-func (b *brokenGShare) Update(pc uint64, taken bool) {
+func (b *brokenGShare) PredictUpdate(pc uint64, taken bool) bool {
 	i := b.index(pc)
+	pred := b.table[i] >= 2
 	if taken && b.table[i] < 3 {
 		b.table[i]++
 	} else if !taken && b.table[i] > 0 {
 		b.table[i]--
 	}
 	b.ObserveBit(taken)
+	return pred
 }
 
 func (b *brokenGShare) ObserveBit(bit bool) {
@@ -109,6 +112,42 @@ func TestCheckPredictorCatchesIndexOffByOne(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "diverges") {
 		t.Fatalf("unexpected error text: %v", err)
+	}
+}
+
+// shiftGShare is the real gshare with one bug, confined to its training
+// step: the step shifts each outcome into the history twice, an
+// off-by-one in the history shift. Predict is the real, correct peek.
+type shiftGShare struct{ *bpred.GShare }
+
+func (g shiftGShare) PredictUpdate(pc uint64, taken bool) bool {
+	pred := g.GShare.PredictUpdate(pc, taken)
+	g.ObserveBit(taken)
+	return pred
+}
+
+// TestCheckPredictorCatchesTrainingStepBug: a bug that lives only in
+// PredictUpdate — the step every consumer trains with — must fail both
+// the randomized check and the scripted layout streams, even though
+// every Predict peek reads correctly from the state it is given.
+func TestCheckPredictorCatchesTrainingStepBug(t *testing.T) {
+	spec := sim.For("gshare", 10, 6)
+	ref, err := ReferenceFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant := shiftGShare{bpred.NewGShare(10, 6)}
+	if err := CheckPredictor(mutant, ref, testStream); err == nil || !strings.Contains(err.Error(), "diverges") {
+		t.Errorf("CheckPredictor missed the training-step bug: %v", err)
+	}
+	var scripted error
+	for _, s := range layoutStreams(1, 4096) {
+		if scripted = checkScripted(mutant, ref, s.name, s.events); scripted != nil {
+			break
+		}
+	}
+	if scripted == nil || !strings.Contains(scripted.Error(), "diverges") {
+		t.Errorf("checkScripted missed the training-step bug: %v", scripted)
 	}
 }
 
@@ -149,14 +188,16 @@ func (s *stickyGShare) index(pc uint64) uint64 {
 
 func (s *stickyGShare) Predict(pc uint64) bool { return s.table[s.index(pc)] >= 2 }
 
-func (s *stickyGShare) Update(pc uint64, taken bool) {
+func (s *stickyGShare) PredictUpdate(pc uint64, taken bool) bool {
 	i := s.index(pc)
+	pred := s.table[i] >= 2
 	if taken && s.table[i] < 3 {
 		s.table[i]++
 	} else if !taken && s.table[i] > 0 {
 		s.table[i]--
 	}
 	s.ObserveBit(taken)
+	return pred
 }
 
 func (s *stickyGShare) Reset() {

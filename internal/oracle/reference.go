@@ -13,6 +13,25 @@ import (
 // indices instead of mask-indexed slices, histories are bool slices read
 // back-to-front instead of shifted uint64s — so an off-by-one in a shift,
 // mask or saturation boundary diverges instead of cancelling out.
+//
+// Each model keeps the naive split form as its specification: Predict
+// reads, the unexported update trains, and PredictUpdate (through step)
+// runs Predict then update. The production kinds fuse the two into one
+// step; CheckPredictor and checkScripted drive that step against this
+// split.
+
+// refModel is a reference model's split form.
+type refModel interface {
+	Predict(pc uint64) bool
+	update(pc uint64, taken bool)
+}
+
+// step is the reference PredictUpdate: predict, then train.
+func step(m refModel, pc uint64, taken bool) bool {
+	pred := m.Predict(pc)
+	m.update(pc, taken)
+	return pred
+}
 
 // ReferenceFor returns the naive reference implementation matching spec
 // (defaults filled in exactly as the registry fills them). Every kind in
@@ -110,8 +129,10 @@ type refStatic struct{ taken bool }
 
 func (s *refStatic) Name() string        { return fmt.Sprintf("ref-static-%v", s.taken) }
 func (s *refStatic) Predict(uint64) bool { return s.taken }
-func (s *refStatic) Update(uint64, bool) {}
+func (s *refStatic) update(uint64, bool) {}
 func (s *refStatic) Reset()              {}
+
+func (s *refStatic) PredictUpdate(pc uint64, taken bool) bool { return step(s, pc, taken) }
 
 // refBimodal is the reference bimodal predictor.
 type refBimodal struct {
@@ -125,7 +146,9 @@ func (b *refBimodal) Name() string { return fmt.Sprintf("ref-bimodal-%d", b.bits
 
 func (b *refBimodal) Predict(pc uint64) bool { return b.t.taken(pc % pow2(b.bits)) }
 
-func (b *refBimodal) Update(pc uint64, taken bool) { b.t.update(pc%pow2(b.bits), taken) }
+func (b *refBimodal) update(pc uint64, taken bool) { b.t.update(pc%pow2(b.bits), taken) }
+
+func (b *refBimodal) PredictUpdate(pc uint64, taken bool) bool { return step(b, pc, taken) }
 
 func (b *refBimodal) Reset() { b.t = newRefTable(1) }
 
@@ -146,10 +169,12 @@ func (g *refGShare) index(pc uint64) uint64 { return (pc ^ g.h.value(g.histBits)
 
 func (g *refGShare) Predict(pc uint64) bool { return g.t.taken(g.index(pc)) }
 
-func (g *refGShare) Update(pc uint64, taken bool) {
+func (g *refGShare) update(pc uint64, taken bool) {
 	g.t.update(g.index(pc), taken)
 	g.ObserveBit(taken)
 }
+
+func (g *refGShare) PredictUpdate(pc uint64, taken bool) bool { return step(g, pc, taken) }
 
 func (g *refGShare) ObserveBit(bit bool) { g.h.observe(bit) }
 
@@ -182,10 +207,12 @@ func (g *refGSelect) index(pc uint64) uint64 {
 
 func (g *refGSelect) Predict(pc uint64) bool { return g.t.taken(g.index(pc)) }
 
-func (g *refGSelect) Update(pc uint64, taken bool) {
+func (g *refGSelect) update(pc uint64, taken bool) {
 	g.t.update(g.index(pc), taken)
 	g.ObserveBit(taken)
 }
+
+func (g *refGSelect) PredictUpdate(pc uint64, taken bool) bool { return step(g, pc, taken) }
 
 func (g *refGSelect) ObserveBit(bit bool) { g.h.observe(bit) }
 
@@ -207,10 +234,12 @@ func (g *refGAg) Name() string { return fmt.Sprintf("ref-gag-%d", g.histBits) }
 
 func (g *refGAg) Predict(uint64) bool { return g.t.taken(g.h.value(g.histBits)) }
 
-func (g *refGAg) Update(_ uint64, taken bool) {
+func (g *refGAg) update(_ uint64, taken bool) {
 	g.t.update(g.h.value(g.histBits), taken)
 	g.ObserveBit(taken)
 }
+
+func (g *refGAg) PredictUpdate(pc uint64, taken bool) bool { return step(g, pc, taken) }
 
 func (g *refGAg) ObserveBit(bit bool) { g.h.observe(bit) }
 
@@ -253,12 +282,14 @@ func (l *refLocal) patIndex(pc uint64) uint64 {
 
 func (l *refLocal) Predict(pc uint64) bool { return l.t.taken(l.patIndex(pc)) }
 
-func (l *refLocal) Update(pc uint64, taken bool) {
+func (l *refLocal) update(pc uint64, taken bool) {
 	// Pattern index is computed against the pre-update history, as the
 	// real predictor does.
 	l.t.update(l.patIndex(pc), taken)
 	l.hist(pc).observe(taken)
 }
+
+func (l *refLocal) PredictUpdate(pc uint64, taken bool) bool { return step(l, pc, taken) }
 
 func (l *refLocal) Reset() {
 	l.hists = map[uint64]*refHistory{}
@@ -337,11 +368,13 @@ func (a *refAgree) Predict(pc uint64) bool {
 	return a.lookupBias(pc) == a.t.taken(a.index(pc))
 }
 
-func (a *refAgree) Update(pc uint64, taken bool) {
+func (a *refAgree) update(pc uint64, taken bool) {
 	bias := a.allocBias(pc, taken)
 	a.t.update(a.index(pc), taken == bias)
 	a.ObserveBit(taken)
 }
+
+func (a *refAgree) PredictUpdate(pc uint64, taken bool) bool { return step(a, pc, taken) }
 
 func (a *refAgree) ObserveBit(bit bool) { a.h.observe(bit) }
 
@@ -408,7 +441,7 @@ func clampStep(w int, up bool) int {
 	return w
 }
 
-func (p *refPerceptron) Update(pc uint64, taken bool) {
+func (p *refPerceptron) update(pc uint64, taken bool) {
 	y := p.output(pc)
 	mispredicted := (y >= 0) != taken
 	mag := y
@@ -424,6 +457,8 @@ func (p *refPerceptron) Update(pc uint64, taken bool) {
 	}
 	p.ObserveBit(taken)
 }
+
+func (p *refPerceptron) PredictUpdate(pc uint64, taken bool) bool { return step(p, pc, taken) }
 
 func (p *refPerceptron) ObserveBit(bit bool) { p.h.observe(bit) }
 
@@ -461,15 +496,17 @@ func (t *refTournament) Predict(pc uint64) bool {
 	return t.local.Predict(pc)
 }
 
-func (t *refTournament) Update(pc uint64, taken bool) {
+func (t *refTournament) update(pc uint64, taken bool) {
 	g := t.global.Predict(pc)
 	l := t.local.Predict(pc)
 	if g != l {
 		t.chooser.update(t.chIndex(pc), g == taken)
 	}
-	t.global.Update(pc, taken)
-	t.local.Update(pc, taken)
+	t.global.update(pc, taken)
+	t.local.update(pc, taken)
 }
+
+func (t *refTournament) PredictUpdate(pc uint64, taken bool) bool { return step(t, pc, taken) }
 
 func (t *refTournament) ObserveBit(bit bool) { t.global.ObserveBit(bit) }
 

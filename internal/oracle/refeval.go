@@ -92,13 +92,13 @@ func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 					bs.Filtered++
 				}
 				if cfg.TrainFiltered {
-					p.Update(ev.PC, ev.Taken)
+					p.PredictUpdate(ev.PC, ev.Taken)
 				}
 				continue
 			}
 		}
 
-		if p.Predict(ev.PC) != ev.Taken {
+		if p.PredictUpdate(ev.PC, ev.Taken) != ev.Taken {
 			m.Mispredicts++
 			if ev.Region {
 				m.RegionMispredicts++
@@ -107,7 +107,6 @@ func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 				bs.Mispredicts++
 			}
 		}
-		p.Update(ev.PC, ev.Taken)
 	}
 	m.Insts = tr.Insts
 	return m

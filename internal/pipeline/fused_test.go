@@ -8,28 +8,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/ifconv"
+	"repro/internal/oracle"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// splitPredictor and splitObserver hide bpred.Fused from Run, so it runs
-// the predictor through bpred.AsFused's Predict-then-Update wrapper.
-// splitObserver keeps the history hook, without which the PGU arms would
-// go quiet.
-type splitPredictor struct{ bpred.Predictor }
-
-type splitObserver struct {
-	bpred.Predictor
-	bpred.HistoryObserver
-}
-
-func hideFused(p bpred.Predictor) bpred.Predictor {
-	if obs, ok := p.(bpred.HistoryObserver); ok {
-		return splitObserver{p, obs}
-	}
-	return splitPredictor{p}
-}
 
 // diffBudget caps each run; a run cut at the budget still returns its
 // partial stats, which must agree just the same.
@@ -62,9 +45,10 @@ func suitePrograms(t *testing.T) []*prog.Program {
 }
 
 // TestFusedMatchesSplit runs every registry kind through the timing model
-// twice, once as is and once behind a shim hiding bpred.Fused, over the
-// suite and timingConfigs. The fused resolve-time step must leave every
-// statistic unchanged. Each (kind, program) pair runs two of the
+// twice, once with the registry predictor's fused step and once with its
+// naive reference model from internal/oracle, which predicts and then
+// trains in two separate calls, over the suite and timingConfigs. Every
+// statistic must agree. Each (kind, program) pair runs two of the
 // configurations, rotating, so every kind meets every configuration and
 // every program meets every configuration.
 func TestFusedMatchesSplit(t *testing.T) {
@@ -75,12 +59,6 @@ func TestFusedMatchesSplit(t *testing.T) {
 	}
 	for ki, kind := range sim.Kinds() {
 		spec := sim.For(kind)
-		if _, ok := spec.MustNew().(bpred.Fused); !ok {
-			t.Errorf("%s does not implement bpred.Fused; the fused path goes untested", kind)
-		}
-		if _, ok := hideFused(spec.MustNew()).(bpred.Fused); ok {
-			t.Fatalf("%s: shim still exposes bpred.Fused", kind)
-		}
 		for pi, p := range progs {
 			for _, ci := range []int{(ki + pi) % len(configs), (ki + pi + len(configs)/2) % len(configs)} {
 				base := configs[ci]
@@ -93,8 +71,11 @@ func TestFusedMatchesSplit(t *testing.T) {
 					}
 					return st
 				}
-				fused, split := run(spec.MustNew()), run(hideFused(spec.MustNew()))
-				if fused != split {
+				ref, err := oracle.ReferenceFor(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fused, split := run(spec.MustNew()), run(ref); fused != split {
 					t.Errorf("%s on %s, config %d:\n fused %+v\n split %+v", kind, p.Name, ci, fused, split)
 				}
 			}

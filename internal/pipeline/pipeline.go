@@ -248,7 +248,7 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 	// is exact: nothing touches the predictor between a branch's fetch and
 	// its resolve, since history bits are only inserted at the top of the
 	// loop.
-	pred := bpred.AsFused(cfg.Predictor)
+	pred := cfg.Predictor
 	pgu := obs != nil && cfg.PGU != core.PGUOff
 
 	var regReady [isa.NumRegs]uint64
@@ -364,7 +364,7 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 					st.FilterErrors++
 				}
 				if cfg.TrainFiltered {
-					pred.Update(uint64(idx), taken)
+					pred.PredictUpdate(uint64(idx), taken)
 				}
 			case filteredTrue:
 				st.FilteredTrue++
@@ -372,7 +372,7 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 					st.FilterErrors++
 				}
 				if cfg.TrainFiltered {
-					pred.Update(uint64(idx), taken)
+					pred.PredictUpdate(uint64(idx), taken)
 				}
 			default:
 				if pred.PredictUpdate(uint64(idx), taken) != taken {

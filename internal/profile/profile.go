@@ -82,11 +82,8 @@ func FromRecording(x *record.Recording, pred bpred.Predictor) (*Profile, error) 
 		if taken {
 			p.Taken[idx]++
 		}
-		if x.Insts[idx].Event == record.Branch {
-			if pred.Predict(uint64(idx)) != taken {
-				p.Mispredict[idx]++
-			}
-			pred.Update(uint64(idx), taken)
+		if x.Insts[idx].Event == record.Branch && pred.PredictUpdate(uint64(idx), taken) != taken {
+			p.Mispredict[idx]++
 		}
 	}
 	return p, nil

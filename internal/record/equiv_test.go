@@ -121,10 +121,9 @@ func refProfile(pr *prog.Program, pred bpred.Predictor, limit uint64) (*profile.
 			p.Taken[si.Index]++
 		}
 		if (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0 || in.Op == isa.OpCloop {
-			if pred.Predict(uint64(si.Index)) != si.Taken {
+			if pred.PredictUpdate(uint64(si.Index), si.Taken) != si.Taken {
 				p.Mispredict[si.Index]++
 			}
-			pred.Update(uint64(si.Index), si.Taken)
 		}
 	}
 	p.Insts = m.Steps

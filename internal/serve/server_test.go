@@ -298,16 +298,16 @@ func TestSweepTimeout(t *testing.T) {
 	}
 }
 
-// cancelOnPredict is a predictor that cancels a context at its first
-// prediction: a sweep cancelled while it is evaluating.
-type cancelOnPredict struct {
+// cancelOnStep is a predictor that cancels a context at its first
+// step: a sweep cancelled while it is evaluating.
+type cancelOnStep struct {
 	bpred.Predictor
 	cancel context.CancelFunc
 }
 
-func (p cancelOnPredict) Predict(pc uint64) bool {
+func (p cancelOnStep) PredictUpdate(pc uint64, taken bool) bool {
 	p.cancel()
-	return p.Predictor.Predict(pc)
+	return p.Predictor.PredictUpdate(pc, taken)
 }
 
 // TestEvaluateCtx: the sweep's chunked evaluation matches core.Evaluate,
@@ -334,7 +334,7 @@ func TestEvaluateCtx(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.Predictor = cancelOnPredict{sim.For("gshare", 12, 8).MustNew(), cancel}
+	cfg.Predictor = cancelOnStep{sim.For("gshare", 12, 8).MustNew(), cancel}
 	if _, err := evaluateCtx(ctx, tr, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("evaluation cancelled mid-trace returned %v, want context.Canceled", err)
 	}

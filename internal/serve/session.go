@@ -565,35 +565,11 @@ func (m *sessionManager) Create(ctx context.Context, id string, spec sim.Spec, c
 	if !explicit {
 		id = m.newID()
 	}
-	sh := m.shardFor(id)
-	reply := make(chan sessionReply, 1)
-	op := func() {
-		if explicit {
-			if _, ok := sh.sessions[id]; ok || (m.spill != nil && m.spill.has(id)) {
-				reply <- sessionReply{err: ErrExists}
-				return
-			}
-		}
-		now := m.now()
-		if !sh.makeRoom(now, 1) {
-			reply <- sessionReply{err: ErrFull}
-			return
-		}
-		s := &session{
-			id: id, spec: spec,
-			eval:      core.NewEvaluator(cfg),
-			specBytes: specBytes(spec),
-			created:   now, last: now,
-		}
-		sh.insert(s)
-		m.tel.sessCreated.Inc()
-		reply <- sessionReply{info: s.info(false)}
-	}
-	if err := m.enqueue(ctx, sh, shardOp{fn: op}, true); err != nil {
-		return nil, err
-	}
-	r, err := m.wait(ctx, reply)
-	return r.info, err
+	return m.install(ctx, &session{
+		id: id, spec: spec,
+		eval:      core.NewEvaluator(cfg),
+		specBytes: specBytes(spec),
+	}, explicit)
 }
 
 // Feed streams one batch of events into a session. It applies
@@ -673,24 +649,35 @@ func (m *sessionManager) Restore(ctx context.Context, id string, res *snap.Resto
 	if res.Meta.SessionID != id {
 		return nil, fmt.Errorf("%w: snapshot is of session %q", ErrBadID, res.Meta.SessionID)
 	}
-	sh := m.shardFor(id)
+	return m.install(ctx, &session{
+		id: id, spec: res.Spec, eval: res.Eval,
+		events: res.Meta.Events, batches: res.Meta.Batches, lastSeq: res.Meta.LastSeq,
+		specBytes: specBytes(res.Spec),
+	}, true)
+}
+
+// install makes s a resident session on its shard, stamped with the
+// current time as both its creation and last use: Create and Restore
+// both end here. A client-supplied ID (checkID) must be unused, both
+// resident and on disk; a server-generated one is fresh by construction.
+// Room is made by evicting idle sessions, and a table full of live ones
+// fails with ErrFull.
+func (m *sessionManager) install(ctx context.Context, s *session, checkID bool) (*SessionInfo, error) {
+	sh := m.shardFor(s.id)
 	reply := make(chan sessionReply, 1)
 	op := func() {
-		if _, ok := sh.sessions[id]; ok || (m.spill != nil && m.spill.has(id)) {
-			reply <- sessionReply{err: ErrExists}
-			return
+		if checkID {
+			if _, ok := sh.sessions[s.id]; ok || (m.spill != nil && m.spill.has(s.id)) {
+				reply <- sessionReply{err: ErrExists}
+				return
+			}
 		}
 		now := m.now()
 		if !sh.makeRoom(now, 1) {
 			reply <- sessionReply{err: ErrFull}
 			return
 		}
-		s := &session{
-			id: id, spec: res.Spec, eval: res.Eval,
-			events: res.Meta.Events, batches: res.Meta.Batches, lastSeq: res.Meta.LastSeq,
-			specBytes: specBytes(res.Spec),
-			created:   now, last: now,
-		}
+		s.created, s.last = now, now
 		sh.insert(s)
 		m.tel.sessCreated.Inc()
 		reply <- sessionReply{info: s.info(false)}

@@ -253,6 +253,55 @@ func TestSnapshotRestoreEndpoints(t *testing.T) {
 // goroutines with a session table far too small for the session count,
 // so every feed round races evictions-to-disk against warm restores on
 // other shard-queue entries. Run under -race; correctness check: every
+// TestCreateRestoreConflictAndCapacity: create and restore share one
+// install path, so both endpoints answer 409 for a taken ID and 503
+// (capacity) when the table is full of live sessions.
+func TestCreateRestoreConflictAndCapacity(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Shards: 1, MaxSessions: 1, MinEvictIdle: time.Hour})
+	create := func(id string, want int) {
+		t.Helper()
+		doJSON(t, "POST", ts.URL+"/v1/sessions",
+			SessionRequest{ID: id, Spec: "gshare:10:6", EvalOptions: testEvalOptions()}, want, nil)
+	}
+	restore := func(id string, blob []byte, want int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/restore", "application/octet-stream", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("restore %s: %d (%s), want %d", id, resp.StatusCode, raw, want)
+		}
+	}
+	create("held", http.StatusCreated)
+	resp, err := http.Get(ts.URL + "/v1/sessions/held/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	create("held", http.StatusConflict)
+	restore("held", blob, http.StatusConflict)
+	create("extra", http.StatusServiceUnavailable)
+	create("", http.StatusServiceUnavailable)
+
+	// A snapshot of a session under another ID, restored into the full
+	// table: capacity, not a conflict.
+	other, _ := newTestServer(t, Config{Shards: 1})
+	doJSON(t, "POST", other.URL+"/v1/sessions",
+		SessionRequest{ID: "moved", Spec: "gshare:10:6", EvalOptions: testEvalOptions()}, http.StatusCreated, nil)
+	resp, err = http.Get(other.URL + "/v1/sessions/moved/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	restore("moved", moved, http.StatusServiceUnavailable)
+}
+
 // session ends with exactly the events it was fed.
 func TestConcurrentEvictRestore(t *testing.T) {
 	s := spillServer(t, Config{

@@ -106,8 +106,7 @@ func TestEveryKindConstructs(t *testing.T) {
 			// must leave the predictor returning some prediction.
 			for i := 0; i < 64; i++ {
 				pc := uint64(i % 7)
-				p.Predict(pc)
-				p.Update(pc, i%3 == 0)
+				p.PredictUpdate(pc, i%3 == 0)
 			}
 			p.Reset()
 			_ = p.Predict(0)

@@ -164,10 +164,9 @@ func TestSweepParallelEvaluationsAreDeterministic(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			pc := uint64(i % 13)
 			taken := (i/3)%2 == 0
-			if p.Predict(pc) != taken {
+			if p.PredictUpdate(pc, taken) != taken {
 				misses++
 			}
-			p.Update(pc, taken)
 		}
 		return misses
 	}

@@ -269,10 +269,10 @@ func TestDecodeRejectsNonCanonicalSpec(t *testing.T) {
 // unsupported-predictor error.
 type nonStater struct{}
 
-func (nonStater) Name() string        { return "custom" }
-func (nonStater) Predict(uint64) bool { return false }
-func (nonStater) Update(uint64, bool) {}
-func (nonStater) Reset()              {}
+func (nonStater) Name() string                    { return "custom" }
+func (nonStater) Predict(uint64) bool             { return false }
+func (nonStater) PredictUpdate(uint64, bool) bool { return false }
+func (nonStater) Reset()                          {}
 
 func TestEncodeErrors(t *testing.T) {
 	e := core.NewEvaluator(core.EvalConfig{Predictor: nonStater{}})

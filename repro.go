@@ -26,6 +26,10 @@
 package repro
 
 import (
+	"errors"
+	"os"
+	"strings"
+
 	"repro/internal/asm"
 	"repro/internal/bpred"
 	"repro/internal/core"
@@ -236,6 +240,28 @@ func Synth(seed uint64, statements int) *Program { return workload.Synth(seed, s
 
 // Assemble parses P64 assembly text.
 func Assemble(name, src string) (*Program, error) { return asm.Parse(name, src) }
+
+// LoadProgram resolves the command-line tools' -w/-f program selection:
+// the built-in workload named workload if set, else the P64 assembly
+// file at file, named after the file without its ".s" suffix. The tools
+// check that one of the two is set first, to name their own flags.
+func LoadProgram(workload, file string) (*Program, error) {
+	switch {
+	case workload != "":
+		w, err := WorkloadByName(workload)
+		if err != nil {
+			return nil, err
+		}
+		return w.Build(), nil
+	case file != "":
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		return Assemble(strings.TrimSuffix(file, ".s"), string(src))
+	}
+	return nil, errors.New("repro: no workload or program file given")
+}
 
 // Disassemble renders a program as parseable assembly text.
 func Disassemble(p *Program) string { return asm.Format(p) }

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -67,6 +69,27 @@ func TestFacadeAssembleDisassemble(t *testing.T) {
 	}
 	if _, err := Assemble("t", text); err != nil {
 		t.Errorf("disassembly does not reassemble: %v", err)
+	}
+}
+
+// TestFacadeLoadProgram covers the tools' -w/-f loader: a workload by
+// name wins over a file, a file is named without its ".s" suffix, and
+// unknown names, missing files and an empty selection are errors.
+func TestFacadeLoadProgram(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "five.s")
+	if err := os.WriteFile(path, []byte("movi r1 = 5\nout r1\nhalt 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := LoadProgram("scan", path); err != nil || p.Name != "scan" {
+		t.Errorf("workload and file: err %v; want the scan workload", err)
+	}
+	if p, err := LoadProgram("", path); err != nil || p.Name != strings.TrimSuffix(path, ".s") {
+		t.Errorf("file: err %v; want a program named after the file", err)
+	}
+	for _, c := range [][2]string{{"definitely-not", ""}, {"", path + ".missing"}, {"", ""}} {
+		if _, err := LoadProgram(c[0], c[1]); err == nil {
+			t.Errorf("LoadProgram(%q, %q) succeeded", c[0], c[1])
+		}
 	}
 }
 
