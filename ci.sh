@@ -80,6 +80,8 @@ cov_floor repro/internal/isa 85
 cov_floor repro/internal/trace 88
 cov_floor repro/internal/emu 88
 cov_floor repro/internal/record 90
+cov_floor repro/internal/router 75
+cov_floor repro/internal/oracle 85
 rm -f "$covfile"
 
 echo "== fuzz smoke =="

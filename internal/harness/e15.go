@@ -12,7 +12,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/charz"
 	"repro/internal/sim"
@@ -22,6 +21,12 @@ import (
 func init() {
 	registerExperiment(e15())
 }
+
+// e15Reports holds E15's characterization of each grid point by name. A
+// catalog point's trace is a function of its name alone (a step limit
+// can fail the run, never change it), so the reports are shared by every
+// suite in the process.
+var e15Reports memo[string, *charz.Report]
 
 // e15 sweeps kind × synthetic-point with every kind at registry
 // defaults, on the original (branching) programs.
@@ -33,32 +38,23 @@ func e15() Experiment {
 	}
 
 	// One characterization pass per grid point, computed on the sweep
-	// pool by Prepare and shared by the metric columns. A catalog
-	// point's trace is a function of its name alone (a step limit can
-	// fail the run, never change it), so the reports are shared by every
-	// suite in the process.
-	var mu sync.Mutex
-	reports := make(map[string]*charz.Report)
+	// pool by Prepare and shared by the metric columns.
+	characterize := func(e *Entry) (*charz.Report, error) {
+		return e15Reports.get(e.Name, func() (*charz.Report, error) {
+			rp, err := charz.Characterize(e.OrigTrace, charz.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("harness: E15: characterizing %s: %w", e.Name, err)
+			}
+			return rp, nil
+		})
+	}
 	prepare := func(e *Entry) error {
-		mu.Lock()
-		_, ok := reports[e.Name]
-		mu.Unlock()
-		if ok {
-			return nil
-		}
-		rp, err := charz.Characterize(e.OrigTrace, charz.Options{})
-		if err != nil {
-			return fmt.Errorf("harness: E15: characterizing %s: %w", e.Name, err)
-		}
-		mu.Lock()
-		reports[e.Name] = rp
-		mu.Unlock()
-		return nil
+		_, err := characterize(e)
+		return err
 	}
 	rep := func(r Row) *charz.Report {
-		mu.Lock()
-		defer mu.Unlock()
-		return reports[r.Entry.Name]
+		rp, _ := characterize(r.Entry) // a failure already failed the run in Prepare
+		return rp
 	}
 
 	cols := []Col{
@@ -76,7 +72,7 @@ func e15() Experiment {
 		summary = append(summary, geoRateCol("", k))
 	}
 
-	return Spec{
+	return Experiment{
 		ID:    "E15",
 		Title: "Predictor accuracy across the synthetic characterization grid",
 		Paper: "extension: the workload-characterization literature (PAPERS.md) parameterizes branch predictability; " +
@@ -96,5 +92,5 @@ func e15() Experiment {
 				staticNote("characterization metrics are measured on the original trace; H(Y|h8)/H(Y|g8) are outcome entropy conditioned on 8 bits of local/global history"),
 			},
 		}},
-	}.Experiment()
+	}
 }

@@ -1,5 +1,5 @@
 // experiments.go — the 14 reconstructed tables/figures, declared as
-// Specs for the generic engine in spec.go. Each experiment is data: a
+// data for the generic engine in spec.go. Each experiment is data: a
 // variant grid (predictor spec × trace × evaluator or timing-model
 // options), the workloads it runs on, and the tables shaped from the
 // grid's cells. Adding a predictor kind or a sweep point to an
@@ -62,7 +62,7 @@ func geoCyclesCol(name, sub, format string) Col {
 // trace-characterisation table: no variants, every column derives from
 // the prepared workload itself.
 func e1() Experiment {
-	return Spec{
+	return Experiment{
 		ID:    "E1",
 		Title: "Benchmark characterisation under if-conversion",
 		Paper: "Table 1: benchmark suite, dynamic branches, branches removed by predication, region-based branches",
@@ -111,7 +111,7 @@ func e1() Experiment {
 					stats.Pct(remTotal/brTotal))
 			}},
 		}},
-	}.Experiment()
+	}
 }
 
 // e2Preds is the E2b predictor sweep; quick runs keep only the default
@@ -146,7 +146,7 @@ func e2() Experiment {
 		_, rep, _, err := r.Entry.Profiled()
 		return err == nil && len(rep.Regions) == 0
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E2",
 		Title: "Misprediction rate of remaining branches: original vs if-converted code",
 		Paper: "figure: predication's effect on the predictability of remaining branches, across predictor types",
@@ -204,7 +204,7 @@ func e2() Experiment {
 				},
 			},
 		},
-	}.Experiment()
+	}
 }
 
 // E3 — the squash false path filter.
@@ -223,7 +223,7 @@ func e3() Experiment {
 			Variant{Key: label + "/base", Pred: pred, FullOnly: full},
 			Variant{Key: label + "/sfpf", Pred: pred, UseSFPF: true, ResolveDelay: defResolve, FullOnly: full})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E3",
 		Title: "Squash false path filter on predicated code",
 		Paper: "figure: fraction of branches filtered and misprediction rate with/without the SFPF, across predictor sizes",
@@ -266,7 +266,7 @@ func e3() Experiment {
 				},
 			},
 		},
-	}.Experiment()
+	}
 }
 
 // E4 — the predicate global update predictor.
@@ -285,7 +285,7 @@ func e4() Experiment {
 			Variant{Key: label + "/base", Pred: pred, FullOnly: full},
 			Variant{Key: label + "/pgu", Pred: pred, PGU: core.PGUAll, PGUDelay: defPGUDelay, FullOnly: full})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E4",
 		Title: "Predicate global update (PGU) vs plain global history",
 		Paper: "figure: misprediction rate of gshare vs PGU-gshare across history lengths",
@@ -321,7 +321,7 @@ func e4() Experiment {
 				},
 			},
 		},
-	}.Experiment()
+	}
 }
 
 // E5 — both mechanisms combined.
@@ -329,7 +329,7 @@ func e5() Experiment {
 	rateCol := func(name, sub string) Col {
 		return Col{name, func(r Row) string { return stats.Pct(r.Cell(sub).M.MispredictRate()) }}
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E5",
 		Title: "SFPF and PGU combined",
 		Paper: "figure: misprediction rate for baseline, +SFPF, +PGU, +both",
@@ -361,7 +361,7 @@ func e5() Experiment {
 				geoRateCol("", "both"),
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E6 — end-to-end performance on the timing model.
@@ -371,7 +371,7 @@ func e6() Experiment {
 			return stats.Ratio(float64(r.Cell("orig").P.Cycles), float64(r.Cell(sub).P.Cycles))
 		}}
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E6",
 		Title: "Pipeline performance: branching vs predicated vs predicated+mechanisms",
 		Paper: "figure: speedup of predicated code with the proposed predictors over branching code",
@@ -406,7 +406,7 @@ func e6() Experiment {
 				geoCyclesCol("", "both", "%.2fx"),
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E7 — sensitivity to the predicate resolve delay.
@@ -421,7 +421,7 @@ func e7() Experiment {
 			FullOnly: d != 0 && d != 6 && d != 16,
 		})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E7",
 		Title: "SFPF coverage vs predicate resolve delay",
 		Paper: "sensitivity analysis: how deep pipelines (late predicate resolution) erode the filter",
@@ -440,7 +440,7 @@ func e7() Experiment {
 				{"rate", func(r Row) string { return stats.Pct(stats.Geomean(r.Over("", rate))) }},
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E8 — PGU insertion-policy ablation.
@@ -452,7 +452,7 @@ func e8() Experiment {
 		groups = append(groups, label)
 		variants = append(variants, Variant{Key: label, PGU: pol, PGUDelay: defPGUDelay})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E8",
 		Title: "PGU insertion policy ablation",
 		Paper: "design-space discussion: which predicate defines should update the history",
@@ -475,12 +475,12 @@ func e8() Experiment {
 				}},
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E9 — filtering known-true guards as well (extension).
 func e9() Experiment {
-	return Spec{
+	return Experiment{
 		ID:    "E9",
 		Title: "Filtering known-true guards (extension beyond the paper)",
 		Paper: "the abstract claims only the known-false case; this quantifies the symmetric case",
@@ -509,12 +509,12 @@ func e9() Experiment {
 				return fmt.Sprintf("total filter errors: %d (must be 0)", errs)
 			}},
 		}},
-	}.Experiment()
+	}
 }
 
 // E10 — compare scheduling ablation.
 func e10() Experiment {
-	return Spec{
+	return Experiment{
 		ID:    "E10",
 		Title: "Compare scheduling ablation (what feeds the filter)",
 		Paper: "methodology dependency: the paper's compiler schedules compares early; this quantifies how much the SFPF relies on that",
@@ -533,12 +533,12 @@ func e10() Experiment {
 				{"coverage unscheduled", func(r Row) string { return stats.Pct(r.Cell("unsched").M.FilterCoverage()) }},
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E11 — profile-guided hyperblock selection.
 func e11() Experiment {
-	return Spec{
+	return Experiment{
 		ID:    "E11",
 		Title: "Profile-guided vs greedy if-conversion",
 		Paper: "methodology: the paper's IMPACT binaries used profile-driven hyperblock selection; this reproduces that selection and its effect",
@@ -575,7 +575,7 @@ func e11() Experiment {
 				geoCyclesCol("", "prof", "%.2fx"),
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E12 — issue-width sensitivity.
@@ -591,7 +591,7 @@ func e12() Experiment {
 			Variant{Key: label + "/conv", Pipeline: true, IssueWidth: w, FullOnly: full},
 			Variant{Key: label + "/both", Pipeline: true, IssueWidth: w, UseSFPF: true, PGU: core.PGUAll, FullOnly: full})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E12",
 		Title: "Predication trade-off vs issue width",
 		Paper: "context: the paper targets wide EPIC machines; width amortises nullified slots while misprediction penalties stay flat",
@@ -611,7 +611,7 @@ func e12() Experiment {
 				geoCyclesCol("speedup conv+both", "both", "%.3fx"),
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E13 — PGU across predictor architectures.
@@ -629,7 +629,7 @@ func e13() Experiment {
 			Variant{Key: name + "/base", Pred: sp},
 			Variant{Key: name + "/pgu", Pred: sp, PGU: core.PGUAll, PGUDelay: defPGUDelay})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E13",
 		Title: "PGU across predictor architectures (counters vs agree vs perceptron)",
 		Paper: "extension: the paper used counter-based global predictors; this asks whether the mechanism generalises",
@@ -666,7 +666,7 @@ func e13() Experiment {
 				staticNote("worst per-workload ratio: pgu/base misprediction counts; > 1 means insertion hurt that workload"),
 			},
 		}},
-	}.Experiment()
+	}
 }
 
 // E14 — return-address stack depth on the recursive workload.
@@ -681,7 +681,7 @@ func e14() Experiment {
 			FullOnly: d != 2 && d != 8,
 		})
 	}
-	return Spec{
+	return Experiment{
 		ID:    "E14",
 		Title: "Return-address stack depth on recursive code",
 		Paper: "front-end context: the paper assumes targets are handled; this quantifies the indirect-branch side on the one recursive workload",
@@ -701,5 +701,5 @@ func e14() Experiment {
 				{"IPC", func(r Row) string { return stats.F2(r.Cell("").P.IPC()) }},
 			},
 		}},
-	}.Experiment()
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bpred"
@@ -24,6 +23,7 @@ import (
 	"repro/internal/ifconv"
 	"repro/internal/profile"
 	"repro/internal/prog"
+	"repro/internal/record"
 	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -65,14 +65,15 @@ func newGshare() bpred.Predictor { return defSpec.MustNew() }
 // branching program, its if-converted form, the conversion report, and
 // traces of both. Derived artifacts that only some experiments need —
 // the profile-guided conversion and the unscheduled-compare conversion —
-// are built lazily and memoized, so experiments share one copy instead
-// of re-materializing traces per evaluation. Every trace and profile of
-// an entry derives from its suite's one recording of that program.
+// are built on first use and memoized by the suite, so experiments share
+// one copy instead of re-materializing them per evaluation. Every trace
+// and profile of an entry derives from its suite's one recording of that
+// program.
 //
 // NewSuiteContext fills every field of the fixed suite's entries. An
-// entry outside it (a synthetic workload a spec names) fills Orig and
-// OrigTrace; its conversion and converted trace are built only when a
-// variant asks for them.
+// entry outside it (a synthetic workload an experiment names) fills Orig
+// and OrigTrace; its conversions are built, in the suite's memo and not
+// in these fields, only when a variant asks for them.
 type Entry struct {
 	Name      string
 	Orig      *prog.Program
@@ -81,68 +82,8 @@ type Entry struct {
 	OrigTrace *trace.Trace
 	ConvTrace *trace.Trace
 
-	// suite holds the recording memo every derived artifact reads, and
-	// limit its emulation bound.
+	// suite memoizes every artifact derived from the entry.
 	suite *Suite
-	limit uint64
-
-	convOnce sync.Once
-	convErr  error
-
-	profiledOnce sync.Once
-	profiledProg *prog.Program
-	profiledRep  *ifconv.Report
-	profiledErr  error
-
-	unschedOnce sync.Once
-	unschedProg *prog.Program
-	unschedErr  error
-}
-
-// converted returns the greedy if-conversion (Conv and Report), made on
-// first use.
-func (e *Entry) converted() (*prog.Program, error) {
-	e.convOnce.Do(func() {
-		var err error
-		if e.Conv, e.Report, err = ifconv.Convert(e.Orig, ifconv.Config{}); err != nil {
-			e.convErr = fmt.Errorf("harness: converting %s: %w", e.Name, err)
-		}
-	})
-	return e.Conv, e.convErr
-}
-
-// profiled returns the profile-guided conversion, profiling the
-// original program's recording on first use.
-func (e *Entry) profiled() (*prog.Program, *ifconv.Report, error) {
-	e.profiledOnce.Do(func() {
-		me, err := e.suite.exec(execKey{entry: e, trace: TraceOrig, limit: e.limit})
-		if err != nil {
-			e.profiledErr = err
-			return
-		}
-		prof, err := profile.FromRecording(me.x, newGshare())
-		if err != nil {
-			e.profiledErr = fmt.Errorf("harness: profiling %s: %w", e.Name, err)
-			return
-		}
-		e.profiledProg, e.profiledRep, err = ifconv.Convert(e.Orig, ifconv.Config{Profile: prof})
-		if err != nil {
-			e.profiledErr = fmt.Errorf("harness: profile-converting %s: %w", e.Name, err)
-		}
-	})
-	return e.profiledProg, e.profiledRep, e.profiledErr
-}
-
-// unscheduled returns greedy conversion without compare scheduling,
-// made on first use.
-func (e *Entry) unscheduled() (*prog.Program, error) {
-	e.unschedOnce.Do(func() {
-		var err error
-		if e.unschedProg, _, err = ifconv.Convert(e.Orig, ifconv.Config{NoCompareScheduling: true}); err != nil {
-			e.unschedErr = fmt.Errorf("harness: unscheduled-converting %s: %w", e.Name, err)
-		}
-	})
-	return e.unschedProg, e.unschedErr
 }
 
 // Profiled returns the workload's profile-guided if-conversion (the
@@ -151,21 +92,15 @@ func (e *Entry) unscheduled() (*prog.Program, error) {
 // for the suite's lifetime, so E2c, E11, and any future experiment share
 // one profile+convert+trace instead of redoing it per experiment.
 func (e *Entry) Profiled() (*prog.Program, *ifconv.Report, *trace.Trace, error) {
-	p, rep, err := e.profiled()
+	p, rep, err := e.suite.program(e, TraceProfiled)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tr, err := e.suite.trace(execKey{entry: e, trace: TraceProfiled, limit: e.limit})
+	tr, err := e.suite.trace(recKey{entry: e, trace: TraceProfiled, limit: e.suite.cfg.Limit})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return p, rep, tr, nil
-}
-
-// Unscheduled returns the trace of greedy if-conversion without compare
-// scheduling (the E10 ablation), memoized like Profiled.
-func (e *Entry) Unscheduled() (*trace.Trace, error) {
-	return e.suite.trace(execKey{entry: e, trace: TraceUnscheduled, limit: e.limit})
 }
 
 // label names one of the entry's programs in error messages.
@@ -179,32 +114,50 @@ func (e *Entry) label(k TraceKind) string {
 	return e.Name + " (" + k.String() + ")"
 }
 
-// Suite is the prepared workload set shared by all experiments.
+// Suite is the prepared workload set shared by all experiments. Every
+// artifact derived from a workload lives in one of its memos, made at
+// most once per suite and shared by every experiment run on it.
 type Suite struct {
 	Entries []*Entry
 	cfg     Config
 
-	mu sync.Mutex // guards extra, cells and execs
-	// extra memoizes entries materialized on demand for workloads
-	// outside the fixed suite — the synthetic charz family a spec can
-	// name without changing suite membership (which the golden CSVs of
-	// the suite-wide experiments pin down).
-	extra map[string]*lazyEntry
-	// cells memoizes evaluated grid points by resolved configuration,
-	// so experiments sharing a suite compute each distinct point once.
-	cells map[pointKey]*memoCell
-	// execs memoizes each program's one recorded execution and the
-	// views derived from it: its trace, and the timing model's replay.
-	execs map[execKey]*memoExec
+	// extra holds entries built on demand, by requested name, for
+	// workloads outside the fixed suite — the synthetic charz family an
+	// experiment can name without changing suite membership (which the
+	// golden CSVs of the suite-wide experiments pin down).
+	extra memo[string, *Entry]
+	// progs holds each entry's if-conversions.
+	progs memo[progKey, conversion]
+	// recs holds each program's one recorded execution: the harness's
+	// only emulator runs. Traces, profiles and timing cells all derive
+	// from a recording, which is read-only and so shared, concurrently
+	// if need be.
+	recs memo[recKey, *record.Recording]
+	// traces holds the trace derived from each recording.
+	traces memo[recKey, *trace.Trace]
+	// cells holds evaluated grid points by resolved configuration, so
+	// experiments sharing a suite compute each distinct point once.
+	cells memo[pointKey, Cell]
 }
 
-// lazyEntry is one on-demand entry, built at most once.
-type lazyEntry struct {
-	name string // the name it was requested (and is memoized) under
-	w    workload.Workload
-	once sync.Once
-	e    *Entry
-	err  error
+// progKey names one program of an entry.
+type progKey struct {
+	entry *Entry
+	trace TraceKind
+}
+
+// recKey names one recorded execution: which program of which entry,
+// under which step limit.
+type recKey struct {
+	entry *Entry
+	trace TraceKind
+	limit uint64
+}
+
+// conversion is one if-converted program and its report.
+type conversion struct {
+	prog *prog.Program
+	rep  *ifconv.Report
 }
 
 // NewSuite builds, converts, and traces every workload; it is the
@@ -223,21 +176,20 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	entries, err := sim.Map(ctx, workload.Suite(), 0,
 		func(_ context.Context, w workload.Workload) (*Entry, error) {
 			e := s.newEntry(w)
-			if _, err := e.converted(); err != nil {
-				return nil, err
-			}
-			return e, nil
+			var err error
+			e.Conv, e.Report, err = s.program(e, TraceConv)
+			return e, err
 		})
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]execKey, 0, 2*len(entries))
+	keys := make([]recKey, 0, 2*len(entries))
 	for _, e := range entries {
 		keys = append(keys,
-			execKey{entry: e, trace: TraceOrig, limit: e.limit},
-			execKey{entry: e, trace: TraceConv, limit: e.limit})
+			recKey{entry: e, trace: TraceOrig, limit: s.cfg.Limit},
+			recKey{entry: e, trace: TraceConv, limit: s.cfg.Limit})
 	}
-	traces, err := sim.Map(ctx, keys, 0, func(_ context.Context, k execKey) (*trace.Trace, error) {
+	traces, err := sim.Map(ctx, keys, 0, func(_ context.Context, k recKey) (*trace.Trace, error) {
 		return s.trace(k)
 	})
 	if err != nil {
@@ -252,74 +204,108 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 
 // newEntry starts an entry for w: its original program, bound to s.
 func (s *Suite) newEntry(w workload.Workload) *Entry {
-	return &Entry{Name: w.Name, Orig: w.Build(), suite: s, limit: s.cfg.Limit}
+	return &Entry{Name: w.Name, Orig: w.Build(), suite: s}
 }
 
 // extraEntries resolves workload names outside the fixed suite — the
 // synthetic charz family — to prepared entries, in the order given.
 // Names not prepared yet are built concurrently on the engine's worker
-// pool and memoized for the suite's lifetime; a name no workload
-// answers to fails the call before anything is built or memoized. An
-// extra entry records and traces only its original program up front.
+// pool and memoized for the suite's lifetime, failures included; a name
+// no workload answers to fails the call before anything is built or
+// memoized. An extra entry records and traces only its original program
+// up front.
 func (s *Suite) extraEntries(ctx context.Context, names []string) ([]*Entry, error) {
-	slots := make([]*lazyEntry, len(names))
-	s.mu.Lock()
+	type named struct {
+		name string // the name requested, which keys the memo
+		w    workload.Workload
+	}
+	ws := make([]named, len(names))
 	for i, n := range names {
-		if le, ok := s.extra[n]; ok {
-			slots[i] = le
-			continue
-		}
 		w, err := workload.ByName(n)
 		if err != nil {
-			s.mu.Unlock()
 			return nil, fmt.Errorf("harness: resolving workload %q: %w", n, err)
 		}
-		slots[i] = &lazyEntry{name: n, w: w}
+		ws[i] = named{n, w}
 	}
-	if s.extra == nil {
-		s.extra = make(map[string]*lazyEntry)
-	}
-	for i, n := range names {
-		s.extra[n] = slots[i]
-	}
-	s.mu.Unlock()
-
-	return sim.Map(ctx, slots, 0, func(_ context.Context, le *lazyEntry) (*Entry, error) {
-		le.once.Do(func() {
-			e := s.newEntry(le.w)
-			if e.OrigTrace, le.err = s.trace(execKey{entry: e, trace: TraceOrig, limit: e.limit}); le.err == nil {
-				le.e = e
+	return sim.Map(ctx, ws, 0, func(_ context.Context, nw named) (*Entry, error) {
+		return s.extra.get(nw.name, func() (*Entry, error) {
+			e := s.newEntry(nw.w)
+			var err error
+			if e.OrigTrace, err = s.trace(recKey{entry: e, trace: TraceOrig, limit: s.cfg.Limit}); err != nil {
+				return nil, err
 			}
+			return e, nil
 		})
-		if le.err != nil {
-			// Forget the failed build so a later call retries it.
-			s.mu.Lock()
-			if s.extra[le.name] == le {
-				delete(s.extra, le.name)
-			}
-			s.mu.Unlock()
-		}
-		return le.e, le.err
 	})
 }
 
-// Experiment regenerates one reconstructed table/figure.
-type Experiment struct {
-	ID    string
-	Title string
-	// Paper describes the paper analogue this experiment reconstructs.
-	Paper string
-	// Expect states the shape the result should show if the reproduction
-	// holds.
-	Expect string
-	// Spec is the experiment's declarative definition, run on the
-	// generic engine (see spec.go).
-	Spec *Spec
+// program returns the entry's program of kind k. The conversions are
+// built on first request: the greedy one, the profile-guided one (which
+// profiles the original program's recording) and the one without
+// compare scheduling. Each program is resolved (see prog.Resolve) by its
+// one recording before any view shares it.
+func (s *Suite) program(e *Entry, k TraceKind) (*prog.Program, *ifconv.Report, error) {
+	if k == TraceOrig {
+		return e.Orig, nil, nil
+	}
+	c, err := s.progs.get(progKey{e, k}, func() (conversion, error) {
+		var cfg ifconv.Config
+		verb := "converting"
+		switch k {
+		case TraceConv:
+		case TraceProfiled:
+			x, err := s.recording(recKey{entry: e, trace: TraceOrig, limit: s.cfg.Limit})
+			if err != nil {
+				return conversion{}, err
+			}
+			if cfg.Profile, err = profile.FromRecording(x, newGshare()); err != nil {
+				return conversion{}, fmt.Errorf("harness: profiling %s: %w", e.Name, err)
+			}
+			verb = "profile-converting"
+		case TraceUnscheduled:
+			cfg.NoCompareScheduling = true
+			verb = "unscheduled-converting"
+		default:
+			return conversion{}, fmt.Errorf("unknown trace kind %d", int(k))
+		}
+		p, rep, err := ifconv.Convert(e.Orig, cfg)
+		if err != nil {
+			return conversion{}, fmt.Errorf("harness: %s %s: %w", verb, e.Name, err)
+		}
+		return conversion{p, rep}, nil
+	})
+	return c.prog, c.rep, err
 }
 
-// Run regenerates the experiment's tables on suite s.
-func (e Experiment) Run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, error) {
-	return e.Spec.run(ctx, s, cfg)
+// recording returns the recorded execution k names, recording it on
+// first request. It holds the harness's only emulator run.
+func (s *Suite) recording(k recKey) (*record.Recording, error) {
+	return s.recs.get(k, func() (*record.Recording, error) {
+		p, _, err := s.program(k.entry, k.trace)
+		if err != nil {
+			return nil, err
+		}
+		x, err := record.Program(p, k.limit)
+		if err != nil {
+			return nil, fmt.Errorf("harness: recording %s: %w", k.entry.label(k.trace), err)
+		}
+		return x, nil
+	})
+}
+
+// trace returns the trace derived from k's recording.
+func (s *Suite) trace(k recKey) (*trace.Trace, error) {
+	return s.traces.get(k, func() (*trace.Trace, error) {
+		x, err := s.recording(k)
+		if err != nil {
+			return nil, err
+		}
+		tr, err := trace.FromRecording(x)
+		if err != nil {
+			return nil, fmt.Errorf("harness: tracing %s: %w", k.entry.label(k.trace), err)
+		}
+		return tr, nil
+	})
 }
 
 // ConfigHash identifies what this experiment would compute under cfg:
@@ -327,7 +313,7 @@ func (e Experiment) Run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Tab
 // workload selection. Two runs with equal hashes answered the same
 // question; the results store keys records on it so `bpstats` can tell a
 // regression from a reconfiguration.
-func (e Experiment) ConfigHash(cfg Config) string {
+func (ex Experiment) ConfigHash(cfg Config) string {
 	cfg = cfg.withDefaults()
 	return buildinfo.Hash(struct {
 		ID        string
@@ -335,8 +321,8 @@ func (e Experiment) ConfigHash(cfg Config) string {
 		Quick     bool
 		Workloads []string  `json:",omitempty"`
 		Variants  []Variant `json:",omitempty"`
-	}{ID: e.ID, Limit: cfg.Limit, Quick: cfg.Quick,
-		Workloads: e.Spec.Workloads, Variants: e.Spec.ActiveVariants(cfg)})
+	}{ID: ex.ID, Limit: cfg.Limit, Quick: cfg.Quick,
+		Workloads: ex.Workloads, Variants: ex.ActiveVariants(cfg)})
 }
 
 var experiments []Experiment
@@ -487,14 +473,7 @@ func (r Result) Record(runID string, at time.Time, cfg Config) results.Record {
 
 // RunAll builds the suite once and runs every experiment.
 func RunAll(cfg Config) ([]Result, error) {
-	return RunAllContext(context.Background(), cfg)
-}
-
-// RunAllContext is RunAll bounded by a context: cancellation (e.g. a
-// CLI -timeout) aborts the in-flight experiment's sweep and returns the
-// context error.
-func RunAllContext(ctx context.Context, cfg Config) ([]Result, error) {
-	return RunSelected(ctx, cfg, All())
+	return RunSelected(context.Background(), cfg, All())
 }
 
 // RunSelected builds the suite once and runs the given experiments in

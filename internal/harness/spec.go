@@ -1,27 +1,21 @@
-// spec.go — the declarative experiment engine. An experiment used to be
-// an opaque Run closure with its own hand-rolled grid loops; it is now a
-// Spec: a configuration grid (variants × workloads) plus table
-// definitions built from a small set of row-shaping combinators
-// (per-workload rows, per-group sweep rows, summary rows, paired
-// orig-vs-converted columns). One engine executes every Spec on the
-// sim sweep pool and renders the same stats.Tables the hand-coded
-// bodies produced, byte for byte — which is what lets the golden CSV
-// test gate the refactor, and what makes a Spec the unit a results
-// store can record and a remote executor can run.
+// spec.go — the declarative experiment engine. An Experiment is a
+// configuration grid (variants × workloads) plus table definitions built
+// from a small set of row-shaping combinators (per-workload rows,
+// per-group sweep rows, summary rows, paired orig-vs-converted columns).
+// One engine, Experiment.Run, executes every experiment on the sim sweep
+// pool and renders its stats.Tables deterministically — which is what
+// lets the golden CSV test pin every byte, and what makes an Experiment
+// the unit a results store can record and a remote executor can run.
 package harness
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/prog"
-	"repro/internal/record"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // TraceKind selects which prepared artifact of an Entry a variant
@@ -61,7 +55,7 @@ func (k TraceKind) String() string {
 // table columns; a "group/sub" key places the variant in a sweep group
 // for per-group row shapes.
 type Variant struct {
-	// Key is unique within the Spec. Everything before the first '/'
+	// Key is unique within the experiment. Everything before the first '/'
 	// is the variant's sweep group.
 	Key string
 	// Trace selects the workload artifact evaluated.
@@ -207,7 +201,7 @@ func staticNote(s string) func([]Row) string {
 	return func([]Row) string { return s }
 }
 
-// TableSpec declares one output table of a Spec.
+// TableSpec declares one output table of an Experiment.
 type TableSpec struct {
 	Title string
 	Shape Shape
@@ -230,13 +224,16 @@ type TableSpec struct {
 	FullOnly bool
 }
 
-// Spec is a declarative experiment: a variant × workload grid plus the
-// tables shaped from its cells. Experiment() adapts it to the registry;
-// the engine in run executes it.
-type Spec struct {
-	ID     string
-	Title  string
-	Paper  string
+// Experiment regenerates one reconstructed table/figure. It is
+// declarative: a variant × workload grid plus the tables shaped from its
+// cells, executed by Run.
+type Experiment struct {
+	ID    string
+	Title string
+	// Paper describes the paper analogue this experiment reconstructs.
+	Paper string
+	// Expect states the shape the result should show if the reproduction
+	// holds.
 	Expect string
 	// Workloads selects a subset of the suite by name; nil means all.
 	Workloads []string
@@ -248,25 +245,12 @@ type Spec struct {
 	Tables  []TableSpec
 }
 
-// Experiment adapts the Spec to the experiment registry; the returned
-// Experiment runs on the generic engine.
-func (sp Spec) Experiment() Experiment {
-	s := sp
-	return Experiment{
-		ID:     s.ID,
-		Title:  s.Title,
-		Paper:  s.Paper,
-		Expect: s.Expect,
-		Spec:   &s,
-	}
-}
-
 // ActiveVariants returns the variants a run with this config evaluates
 // (quick runs drop FullOnly variants). The active set is part of the
 // run's identity: it feeds Experiment.ConfigHash.
-func (sp *Spec) ActiveVariants(cfg Config) []Variant {
+func (ex Experiment) ActiveVariants(cfg Config) []Variant {
 	var out []Variant
-	for _, v := range sp.Variants {
+	for _, v := range ex.Variants {
 		if cfg.Quick && v.FullOnly {
 			continue
 		}
@@ -275,9 +259,9 @@ func (sp *Spec) ActiveVariants(cfg Config) []Variant {
 	return out
 }
 
-// grid holds the evaluated cells of one Spec run.
+// grid holds the evaluated cells of one experiment run.
 type grid struct {
-	spec    *Spec
+	id      string // the experiment's ID, for error messages
 	entries []*Entry
 	cells   map[gridKey]Cell
 }
@@ -290,24 +274,24 @@ type gridKey struct {
 func (g *grid) cell(e *Entry, key string) Cell {
 	c, ok := g.cells[gridKey{e.Name, key}]
 	if !ok {
-		panic(fmt.Sprintf("harness: %s: no cell for workload %q, variant %q (column references a variant the spec does not declare, or one trimmed from this run)", g.spec.ID, e.Name, key))
+		panic(fmt.Sprintf("harness: %s: no cell for workload %q, variant %q (column references a variant the experiment does not declare, or one trimmed from this run)", g.id, e.Name, key))
 	}
 	return c
 }
 
-// run is the engine: evaluate the grid on the sweep pool, then shape
-// tables sequentially (deterministic row order regardless of worker
-// scheduling).
-func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, error) {
-	entries, err := sp.selectEntries(ctx, s)
+// Run regenerates the experiment's tables on suite s: it evaluates the
+// grid on the sweep pool, then shapes tables sequentially (deterministic
+// row order regardless of worker scheduling).
+func (ex Experiment) Run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, error) {
+	entries, err := ex.selectEntries(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	variants := sp.ActiveVariants(cfg)
+	variants := ex.ActiveVariants(cfg)
 	seen := make(map[string]bool, len(variants))
 	for _, v := range variants {
 		if seen[v.Key] {
-			return nil, fmt.Errorf("harness: %s: duplicate variant key %q", sp.ID, v.Key)
+			return nil, fmt.Errorf("harness: %s: duplicate variant key %q", ex.ID, v.Key)
 		}
 		seen[v.Key] = true
 	}
@@ -329,15 +313,15 @@ func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, 
 		return nil, err
 	}
 
-	if sp.Prepare != nil {
+	if ex.Prepare != nil {
 		if _, err := sim.Map(ctx, entries, 0, func(_ context.Context, e *Entry) (struct{}, error) {
-			return struct{}{}, sp.Prepare(e)
+			return struct{}{}, ex.Prepare(e)
 		}); err != nil {
 			return nil, err
 		}
 	}
 
-	g := &grid{spec: sp, entries: entries, cells: make(map[gridKey]Cell, len(cells))}
+	g := &grid{id: ex.ID, entries: entries, cells: make(map[gridKey]Cell, len(cells))}
 	for _, c := range cells {
 		g.cells[gridKey{c.Entry.Name, c.Variant.Key}] = c
 	}
@@ -348,29 +332,29 @@ func (sp *Spec) run(ctx context.Context, s *Suite, cfg Config) ([]*stats.Table, 
 	}
 
 	var tables []*stats.Table
-	for i := range sp.Tables {
-		ts := &sp.Tables[i]
+	for i := range ex.Tables {
+		ts := &ex.Tables[i]
 		if ts.FullOnly && cfg.Quick {
 			continue
 		}
 		t, err := ts.build(g, activeGroups)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s: table %q: %w", sp.ID, ts.Title, err)
+			return nil, fmt.Errorf("harness: %s: table %q: %w", ex.ID, ts.Title, err)
 		}
 		tables = append(tables, t)
 	}
 	return tables, nil
 }
 
-// selectEntries filters the suite to the spec's workloads, keeping suite
-// order; names outside the fixed suite — the synthetic charz family —
-// follow in spec-listed order.
-func (sp *Spec) selectEntries(ctx context.Context, s *Suite) ([]*Entry, error) {
-	if len(sp.Workloads) == 0 {
+// selectEntries filters the suite to the experiment's workloads, keeping
+// suite order; names outside the fixed suite — the synthetic charz
+// family — follow in listed order.
+func (ex Experiment) selectEntries(ctx context.Context, s *Suite) ([]*Entry, error) {
+	if len(ex.Workloads) == 0 {
 		return s.Entries, nil
 	}
-	want := make(map[string]bool, len(sp.Workloads))
-	for _, n := range sp.Workloads {
+	want := make(map[string]bool, len(ex.Workloads))
+	for _, n := range ex.Workloads {
 		want[n] = true
 	}
 	var out []*Entry
@@ -381,7 +365,7 @@ func (sp *Spec) selectEntries(ctx context.Context, s *Suite) ([]*Entry, error) {
 		}
 	}
 	var extra []string
-	for _, n := range sp.Workloads {
+	for _, n := range ex.Workloads {
 		if want[n] {
 			extra = append(extra, n)
 			delete(want, n)
@@ -506,111 +490,17 @@ func resolvePoint(e *Entry, v Variant, limit uint64) pointKey {
 	return k
 }
 
-// memoCell is one memoized grid point, evaluated at most once.
-type memoCell struct {
-	once sync.Once
-	c    Cell // Entry and Variant are filled in per request
-	err  error
-}
-
 // cell returns variant v's cell on workload e. The point is evaluated on
 // its first request and reused by every later one, from this experiment
 // or any other on the suite; concurrent requests wait for the first.
 func (s *Suite) cell(e *Entry, v Variant, limit uint64) (Cell, error) {
 	k := resolvePoint(e, v, limit)
-	s.mu.Lock()
-	mc, ok := s.cells[k]
-	if !ok {
-		if s.cells == nil {
-			s.cells = make(map[pointKey]*memoCell)
-		}
-		mc = new(memoCell)
-		s.cells[k] = mc
+	c, err := s.cells.get(k, func() (Cell, error) { return s.evalCell(k) })
+	if err != nil {
+		return Cell{}, fmt.Errorf("variant %q on %s: %w", v.Key, e.Name, err)
 	}
-	s.mu.Unlock()
-	mc.once.Do(func() { mc.c, mc.err = s.evalCell(k) })
-	if mc.err != nil {
-		return Cell{}, fmt.Errorf("variant %q on %s: %w", v.Key, e.Name, mc.err)
-	}
-	c := mc.c
 	c.Entry, c.Variant = e, v
 	return c, nil
-}
-
-// execKey identifies one recorded program execution: which program of
-// which entry, under which step limit.
-type execKey struct {
-	entry *Entry
-	trace TraceKind
-	limit uint64
-}
-
-// memoExec is one memoized recording, made at most once, and the views
-// derived from it, each made at most once on first request.
-type memoExec struct {
-	once sync.Once
-	x    *record.Recording
-	err  error
-
-	traceOnce sync.Once
-	tr        *trace.Trace
-	trErr     error
-
-	timingOnce sync.Once
-	timing     *pipeline.Exec
-}
-
-// exec returns the recorded execution k names, recording it on first
-// request. It is the harness's only emulator run: every trace, profile
-// and timing cell of the program derives from this one recording, which
-// is read-only and so shared, concurrently if need be.
-func (s *Suite) exec(k execKey) (*memoExec, error) {
-	s.mu.Lock()
-	me, ok := s.execs[k]
-	if !ok {
-		if s.execs == nil {
-			s.execs = make(map[execKey]*memoExec)
-		}
-		me = new(memoExec)
-		s.execs[k] = me
-	}
-	s.mu.Unlock()
-	me.once.Do(func() {
-		prg, err := programFor(k.entry, k.trace)
-		if err != nil {
-			me.err = err
-			return
-		}
-		if me.x, err = record.Program(prg, k.limit); err != nil {
-			me.err = fmt.Errorf("harness: recording %s: %w", k.entry.label(k.trace), err)
-		}
-	})
-	return me, me.err
-}
-
-// trace returns the trace derived from k's recording, memoized with it.
-func (s *Suite) trace(k execKey) (*trace.Trace, error) {
-	me, err := s.exec(k)
-	if err != nil {
-		return nil, err
-	}
-	me.traceOnce.Do(func() {
-		if me.tr, err = trace.FromRecording(me.x); err != nil {
-			me.trErr = fmt.Errorf("harness: tracing %s: %w", k.entry.label(k.trace), err)
-		}
-	})
-	return me.tr, me.trErr
-}
-
-// timing returns k's recording prepared for timing replays, memoized
-// with it.
-func (s *Suite) timing(k execKey) (*pipeline.Exec, error) {
-	me, err := s.exec(k)
-	if err != nil {
-		return nil, err
-	}
-	me.timingOnce.Do(func() { me.timing = pipeline.NewExec(me.x) })
-	return me.timing, nil
 }
 
 // evalCell evaluates one resolved grid point: a fresh predictor from its
@@ -624,39 +514,21 @@ func (s *Suite) evalCell(k pointKey) (Cell, error) {
 	}
 
 	if k.timing {
-		x, err := s.timing(execKey{entry: k.entry, trace: k.trace, limit: k.limit})
+		x, err := s.recording(recKey{entry: k.entry, trace: k.trace, limit: k.limit})
 		if err != nil {
 			return Cell{}, err
 		}
 		pc := k.pipe
 		pc.Predictor = p
-		st, err := x.Run(pc)
+		st, err := pipeline.Replay(x, pc)
 		return Cell{P: st}, err
 	}
 
-	tr, err := s.trace(execKey{entry: k.entry, trace: k.trace, limit: k.entry.limit})
+	tr, err := s.trace(recKey{entry: k.entry, trace: k.trace, limit: s.cfg.Limit})
 	if err != nil {
 		return Cell{}, err
 	}
 	ec := k.eval
 	ec.Predictor = p
 	return Cell{M: core.Evaluate(tr, ec)}, nil
-}
-
-// programFor resolves a TraceKind to the entry's program, building the
-// memoized conversions on first use. Each program is resolved (see
-// prog.Resolve) by its one recording before any view shares it.
-func programFor(e *Entry, k TraceKind) (*prog.Program, error) {
-	switch k {
-	case TraceConv:
-		return e.converted()
-	case TraceOrig:
-		return e.Orig, nil
-	case TraceProfiled:
-		p, _, err := e.profiled()
-		return p, err
-	case TraceUnscheduled:
-		return e.unscheduled()
-	}
-	return nil, fmt.Errorf("unknown trace kind %d", int(k))
 }

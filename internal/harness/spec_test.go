@@ -93,8 +93,8 @@ func TestSpecQuickTrimming(t *testing.T) {
 	s := testSuite(t)
 
 	e3, _ := ByID("E3")
-	full := e3.Spec.ActiveVariants(Config{})
-	quick := e3.Spec.ActiveVariants(Config{Quick: true})
+	full := e3.ActiveVariants(Config{})
+	quick := e3.ActiveVariants(Config{Quick: true})
 	if len(quick) >= len(full) {
 		t.Fatalf("quick kept %d of %d variants", len(quick), len(full))
 	}
@@ -140,12 +140,12 @@ func TestSpecContextCancellation(t *testing.T) {
 func TestSpecMissingWorkloadErrors(t *testing.T) {
 	for _, bad := range []string{"no-such-workload", "syn:no-such-family"} {
 		s := &Suite{cfg: Config{}.withDefaults()}
-		spec := Spec{
+		ex := Experiment{
 			ID: "EX", Title: "x", Workloads: []string{charz.CatalogNames()[0], bad},
 			Variants: []Variant{{Key: "a"}},
 			Tables:   []TableSpec{{Title: "x", Shape: RowsPerEntry, Cols: []Col{workloadCol()}}},
 		}
-		_, err := spec.Experiment().Run(context.Background(), s, Config{})
+		_, err := ex.Run(context.Background(), s, Config{})
 		_, want := workload.ByName(bad)
 		if err == nil || want == nil {
 			t.Fatalf("%s: run err %v, lookup err %v: want both non-nil", bad, err, want)
@@ -153,8 +153,8 @@ func TestSpecMissingWorkloadErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), bad) || !unwrapsTo(err, want) {
 			t.Errorf("%s: err %q does not wrap the lookup error %q", bad, err, want)
 		}
-		if len(s.extra) != 0 || memoLen(s) != 0 {
-			t.Errorf("%s: failed run memoized %d entries and %d cells", bad, len(s.extra), memoLen(s))
+		if s.extra.size() != 0 || memoLen(s) != 0 {
+			t.Errorf("%s: failed run memoized %d entries and %d cells", bad, s.extra.size(), memoLen(s))
 		}
 	}
 }

@@ -40,11 +40,11 @@ var allocCases = []struct {
 func TestRunAllocsIndependentOfLength(t *testing.T) {
 	for _, c := range allocCases {
 		allocs := func(n int64) (float64, uint64) {
-			x := recordExec(t, c.build(n), 0)
+			x := mustRecord(t, c.build(n), 0)
 			cfg := c.cfg()
 			var insts uint64
 			a := testing.AllocsPerRun(5, func() {
-				st, err := x.Run(cfg)
+				st, err := Replay(x, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,12 +69,12 @@ func TestRunAllocsIndependentOfLength(t *testing.T) {
 // spare capacity, however many staging chunks the run went through.
 func TestRecordRetainsFourBytesPerStep(t *testing.T) {
 	for _, c := range allocCases {
-		x := recordExec(t, c.build(3000), 0)
-		st, err := x.Run(c.cfg())
+		x := mustRecord(t, c.build(3000), 0)
+		st, err := Replay(x, c.cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps := x.x.Steps
+		steps := x.Steps
 		if uint64(len(steps)) != st.Insts || len(steps) <= stagingChunk {
 			t.Fatalf("%s: %d recorded steps for %d insts (want more than one %d-step chunk)",
 				c.name, len(steps), st.Insts, stagingChunk)
@@ -92,15 +92,14 @@ func TestRecordRetainsFourBytesPerStep(t *testing.T) {
 // record's own tests pin the value.
 const stagingChunk = 1 << 12
 
-// recordExec records p for at most limit steps and wraps the recording
-// for replay, the first half of Run.
-func recordExec(tb testing.TB, p *prog.Program, limit uint64) *Exec {
+// mustRecord records p for at most limit steps, the first half of Run.
+func mustRecord(tb testing.TB, p *prog.Program, limit uint64) *record.Recording {
 	tb.Helper()
 	x, err := record.Program(p, limit)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return NewExec(x)
+	return x
 }
 
 // BenchmarkRun times the timing model on an if-converted suite kernel
@@ -122,15 +121,15 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkReplay times the per-configuration half of BenchmarkRun alone:
 // replaying one recording, as every timing cell of an experiment grid
-// after the first does.
+// does once its program is recorded.
 func BenchmarkReplay(b *testing.B) {
 	p, cfg := benchProgram(b)
-	x := recordExec(b, p, 0)
+	x := mustRecord(b, p, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := x.Run(cfg)
+		st, err := Replay(x, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

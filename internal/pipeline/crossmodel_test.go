@@ -32,14 +32,13 @@ func TestTimingMatchesTraceEvaluator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewExec(x)
 		for _, kind := range sim.Kinds() {
 			spec := sim.For(kind)
 			m := core.Evaluate(tr, core.EvalConfig{Predictor: spec.MustNew()})
 			for _, width := range []int{1, 4} {
 				cfg := DefaultConfig(spec.MustNew())
 				cfg.IssueWidth = width
-				st, err := e.Run(cfg)
+				st, err := Replay(x, cfg)
 				if err != nil {
 					t.Fatalf("%s on %s, width %d: %v", kind, p.Name, width, err)
 				}

@@ -13,9 +13,11 @@
 // as in the paper).
 //
 // A run has two halves. The program's recorded execution
-// (internal/record, wrapped by NewExec) supplies every step's outcome;
-// (*Exec).Run replays it under one machine configuration. Run does both,
-// once.
+// (internal/record) supplies every step's outcome; Replay times it under
+// one machine configuration. The paper's mechanisms change what the
+// front end predicts, never what the program computes, so one recording
+// serves every predictor, filter, PGU, width and RAS setting. Run does
+// both halves, once.
 package pipeline
 
 import (
@@ -158,7 +160,7 @@ func latency(op isa.Op) uint64 {
 }
 
 // staticInst is what the timing loop needs of one static instruction,
-// decoded once per program instead of once per dynamic instruction: the
+// decoded once per replay instead of once per dynamic instruction: the
 // recording's classification plus the timing model's own operand and
 // latency table.
 type staticInst struct {
@@ -170,30 +172,14 @@ type staticInst struct {
 	wrDst bool // writes dst, a register other than r0, when its guard holds
 }
 
-// Exec is one functional execution of a program, recorded once and
-// replayed by Run under any number of timing configurations. The
-// paper's mechanisms change what the front end predicts, never what the
-// program computes, so one recording serves every predictor, filter,
-// PGU, width and RAS setting. An Exec is read-only once built;
-// concurrent Runs may share it.
-type Exec struct {
-	x     *record.Recording
-	insts []staticInst
-	// err is the recording's terminal error as Run reports it: a limit
-	// stop prefixed "pipeline: ", a fault as the emulator raised it.
-	err error
-}
-
-// NewExec adds the timing model's static table to a recording, so Run
-// can replay it. The recording is shared, not copied.
-func NewExec(x *record.Recording) *Exec {
-	e := &Exec{x: x, insts: make([]staticInst, len(x.Insts)), err: x.Err}
-	if errors.Is(x.Err, emu.ErrLimit) {
-		e.err = fmt.Errorf("pipeline: %w", x.Err)
-	}
+// staticTable adds the timing model's operand and latency table to the
+// recording's static table: O(static instructions), against the replay's
+// O(dynamic steps).
+func staticTable(x *record.Recording) []staticInst {
+	insts := make([]staticInst, len(x.Insts))
 	for i := range x.Prog.Insts {
 		in := &x.Prog.Insts[i]
-		si := &e.insts[i]
+		si := &insts[i]
 		si.Inst = x.Insts[i]
 		si.lat = latency(in.Op)
 		srcs, nsrc := in.RegSources()
@@ -201,7 +187,7 @@ func NewExec(x *record.Recording) *Exec {
 		d, ok := in.RegDest()
 		si.dst, si.wrDst = d, ok && d != isa.R0
 	}
-	return e
+	return insts
 }
 
 // pendingResolve is one in-flight predicate define. A define writes at
@@ -228,18 +214,25 @@ func Run(p *prog.Program, cfg Config, limit uint64) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return NewExec(x).Run(cfg)
+	return Replay(x, cfg)
 }
 
-// Run replays the recorded execution on the timing model configured by
+// Replay runs the recorded execution on the timing model configured by
 // cfg. A recording that ended in a limit stop or a fault returns the
-// statistics accumulated up to it together with the recorded error.
-func (e *Exec) Run(cfg Config) (Stats, error) {
+// statistics accumulated up to it together with the recorded error: a
+// limit stop prefixed "pipeline: ", a fault as the emulator raised it.
+// The recording is only read; concurrent replays may share it.
+func Replay(x *record.Recording, cfg Config) (Stats, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Predictor == nil {
 		return Stats{}, fmt.Errorf("pipeline: no predictor configured")
 	}
 	cfg.Predictor.Reset()
+	insts := staticTable(x)
+	runErr := x.Err
+	if errors.Is(runErr, emu.ErrLimit) {
+		runErr = fmt.Errorf("pipeline: %w", runErr)
+	}
 
 	var st Stats
 	sfpf := core.NewSFPF()
@@ -264,8 +257,8 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 	pending := make([]pendingResolve, 0, 64)
 	head := 0
 
-	steps := e.x.Steps
-	fault, faulted := e.x.Faulted()
+	steps := x.Steps
+	fault, faulted := x.Faulted()
 	for i := 0; ; i++ {
 		// A faulting step is fetched and issued like any other, then
 		// stops the run where the emulator faulted.
@@ -291,7 +284,7 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 		}
 
 		idx := w.Index()
-		in := &e.insts[idx]
+		in := &insts[idx]
 
 		// Fetch-stage bookkeeping.
 		var filtered, filteredTrue bool
@@ -328,7 +321,7 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 		}
 
 		if i == len(steps) {
-			return st, e.err
+			return st, runErr
 		}
 		guard, taken := w.Guard(), w.Taken()
 		st.Insts++
@@ -405,7 +398,7 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 					predicted = ras[len(ras)-1]
 					ras = ras[:len(ras)-1]
 				}
-				next := e.x.Next
+				next := x.Next
 				if i+1 < len(steps) {
 					next = steps[i+1].Index()
 				}
@@ -424,13 +417,13 @@ func (e *Exec) Run(cfg Config) (Stats, error) {
 			slot = 0
 		}
 	}
-	if e.err != nil {
-		return st, e.err
+	if runErr != nil {
+		return st, runErr
 	}
 	if slot != 0 {
 		cycle++
 	}
 	st.Cycles = cycle
-	st.ExitCode = e.x.ExitCode
+	st.ExitCode = x.ExitCode
 	return st, nil
 }

@@ -51,9 +51,9 @@ func TestReplayMatchesRun(t *testing.T) {
 				t.Fatalf("%s, config %d: %s", p.Name, ci, want[ci].err)
 			}
 		}
-		x := recordExec(t, p, diffBudget)
+		x := mustRecord(t, p, diffBudget)
 		check := func(order string, ci int) error {
-			if got := outcome(x.Run(withPredictor(timingConfigs[ci]))); got != want[ci] {
+			if got := outcome(Replay(x, withPredictor(timingConfigs[ci]))); got != want[ci] {
 				return fmt.Errorf("%s %s, config %d:\n replay %+v\n    run %+v", order, p.Name, ci, got, want[ci])
 			}
 			return nil

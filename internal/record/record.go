@@ -6,7 +6,7 @@
 // One recording serves the whole reproduction. trace.FromRecording
 // derives the branch and predicate-define event stream from it,
 // profile.FromRecording the per-instruction execution profile, and
-// pipeline.NewExec the timing model's replay. The static rules those
+// pipeline.Replay the timing model's run. The static rules those
 // views share — which instructions are conditional branches, which
 // compares feed a (region) branch guard, when a predicate define writes
 // its destinations — live here, in the per-program table Recording.Insts,

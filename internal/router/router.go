@@ -382,12 +382,17 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
+// writeJSONError writes the router's own error envelope, in the shape of
+// serve.ErrorBody: the request ID instrument echoed onto the response
+// headers is the correlation ID every tier logs.
 func writeJSONError(w http.ResponseWriter, code int, errCode, msg string) {
+	detail := map[string]string{"code": errCode, "message": msg}
+	if rid := w.Header().Get(telemetry.RequestIDHeader); rid != "" {
+		detail["request_id"] = rid
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]map[string]string{
-		"error": {"code": errCode, "message": msg},
-	})
+	json.NewEncoder(w).Encode(map[string]map[string]string{"error": detail})
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
@@ -105,5 +106,38 @@ func TestRequestIDAcrossTiers(t *testing.T) {
 		if !strings.Contains(buf.String(), "rid=xtier-rid-7") {
 			t.Errorf("%s log misses rid: %s", name, buf.String())
 		}
+	}
+}
+
+// TestRouterErrorCarriesRequestID: the router's own error envelopes
+// carry the request's correlation ID, as the backends' envelopes do.
+// With the only backend down, a request answers 503 no_backend quoting
+// the X-Request-Id it was sent with.
+func TestRouterErrorCarriesRequestID(t *testing.T) {
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close() // its address now refuses connections
+	rt, err := New(Config{Backends: []string{down.URL}, HealthEvery: time.Hour, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer func() { front.Close(); rt.Close() }()
+
+	req, _ := http.NewRequest("GET", front.URL+"/v1/sessions/ghost", nil)
+	req.Header.Set(telemetry.RequestIDHeader, "down-rid-3")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope serve.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || envelope.Error.Code != "no_backend" {
+		t.Fatalf("status %d, envelope %+v; want 503 no_backend", resp.StatusCode, envelope)
+	}
+	if envelope.Error.RequestID != "down-rid-3" {
+		t.Errorf("no_backend envelope request_id %q, want down-rid-3", envelope.Error.RequestID)
 	}
 }

@@ -50,18 +50,25 @@ func writeMgrError(w http.ResponseWriter, s *Server, err error) {
 	writeError(w, code, errCode, err.Error())
 }
 
+// writeBodyError answers a request whose body could not be read: 413
+// when the body exceeded the server's MaxBody, else 400 with errCode and
+// msg.
+func writeBodyError(w http.ResponseWriter, err error, errCode, msg string) {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, errCode, msg)
+}
+
 // decodeJSON reads a JSON body, translating an oversized body into 413.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
+		writeBodyError(w, err, "bad_request", "malformed JSON body: "+err.Error())
 		return false
 	}
 	return true
@@ -143,13 +150,7 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 		readerPool.Put(br)
 		if err != nil {
 			batchPool.Put(pooled)
-			var maxErr *http.MaxBytesError
-			if errors.As(err, &maxErr) {
-				writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-					fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-				return
-			}
-			writeError(w, http.StatusBadRequest, "bad_trace", err.Error())
+			writeBodyError(w, err, "bad_trace", err.Error())
 			return
 		}
 		*pooled = tr.Events[:0] // keep the (possibly grown) backing array
@@ -243,13 +244,7 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	blob, err := io.ReadAll(r.Body)
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeBodyError(w, err, "bad_request", err.Error())
 		return
 	}
 	res, err := snap.Decode(blob)
@@ -342,7 +337,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if tr, err = trace.ReadTrace(r.Body); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_trace", err.Error())
+			writeBodyError(w, err, "bad_trace", err.Error())
 			return
 		}
 	} else if !decodeJSON(w, r, &req) {

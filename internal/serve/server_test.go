@@ -226,6 +226,26 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events", big, http.StatusRequestEntityTooLarge, "body_too_large")
 
+	// Oversized binary (P64T) bodies → 413 too, on the events and the
+	// sweep endpoints alike.
+	var bin bytes.Buffer
+	if _, err := (&trace.Trace{Name: "big", Events: make([]trace.Event, 100)}).WriteTo(&bin); err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{ts.URL + "/v1/sessions/" + sess.ID + "/events", ts.URL + "/v1/sweep?spec=gshare"} {
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(bin.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope ErrorBody
+		json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error.Code != "body_too_large" {
+			t.Errorf("POST %s with a %d-byte binary body: %d %q, want 413 body_too_large (message %q)",
+				url, bin.Len(), resp.StatusCode, envelope.Error.Code, envelope.Error.Message)
+		}
+	}
+
 	// Bad event kind.
 	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events",
 		BatchRequest{Events: []EventJSON{{Kind: "jump"}}}, http.StatusBadRequest, "bad_event")
