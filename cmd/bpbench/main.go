@@ -15,6 +15,9 @@
 //     default; every kind with -allfeatured).
 //   - allocs/feed/<spec> — steady-state heap allocations per event in
 //     FeedBatch (must be 0 for every specialized kind).
+//   - decode/p64t — P64T batch decode throughput (events/s): the window
+//     as one serialized batch, read back through trace.ReadTraceFrom the
+//     way the HTTP feed handler reads a body.
 //   - serve/feed/<spec> — serve-session throughput (events/s) through
 //     real HTTP: binary P64T batches posted to an in-process server.
 //   - experiments/all — wall-clock milliseconds to regenerate the full
@@ -31,6 +34,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -196,6 +200,10 @@ func run(args []string, out io.Writer) error {
 		if err := add(benchAllocs(spec, window)); err != nil {
 			return err
 		}
+	}
+
+	if err := add(benchDecode(window, *minTime)); err != nil {
+		return err
 	}
 
 	if *serveBench {
@@ -380,6 +388,37 @@ func feedAllocs(e *core.Evaluator, window []trace.Event) float64 {
 		fewest = min(fewest, after.Mallocs-before.Mallocs)
 	}
 	return float64(fewest) / float64(rounds*len(window))
+}
+
+// benchDecode measures P64T decode throughput on the window serialized
+// as one batch, through what the serve handler reuses per request: a
+// 64 KiB bufio.Reader (its pooled reader size) Reset onto each body and
+// a recycled event scratch slice.
+func benchDecode(window []trace.Event, minTime time.Duration) (Result, error) {
+	var batch bytes.Buffer
+	if _, err := (&trace.Trace{Name: "bench", Events: window}).WriteTo(&batch); err != nil {
+		return Result{}, err
+	}
+	payload := batch.Bytes()
+	body := bytes.NewReader(payload)
+	br := bufio.NewReaderSize(nil, 64<<10)
+	scratch := make([]trace.Event, 0, len(window))
+	var decodeErr error
+	r := bestRate(len(window), minTime, func() {
+		body.Reset(payload)
+		br.Reset(body)
+		tr, err := trace.ReadTraceFrom(br, scratch)
+		if err != nil {
+			decodeErr = err
+			return
+		}
+		scratch = tr.Events[:0]
+	})
+	if decodeErr != nil {
+		return Result{}, decodeErr
+	}
+	r.Name = "decode/p64t"
+	return r, nil
 }
 
 // benchServe measures end-to-end serve-session feed throughput: binary

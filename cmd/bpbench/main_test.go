@@ -38,7 +38,7 @@ func TestQuickRunWritesReport(t *testing.T) {
 	for _, want := range []string{
 		"feed/gshare:12:8/fast", "feed/gshare:12:8/generic",
 		"feed/gshare:12:8/fast-featured", "feed/gshare:12:8/generic-featured",
-		"allocs/feed/gshare:12:8",
+		"allocs/feed/gshare:12:8", "decode/p64t",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("report is missing %s", want)
@@ -134,7 +134,7 @@ func (p *allocPredictor) Reset() {}
 func TestFeedAllocsSeesRealAllocation(t *testing.T) {
 	window := make([]trace.Event, 256)
 	for i := range window {
-		window[i] = trace.Event{Kind: trace.KindBranch, PC: uint64(i), Taken: i%3 == 0}
+		window[i] = trace.Event{Kind: trace.KindBranch, PC: uint32(i), Flags: trace.FlagTaken.If(i%3 == 0)}
 	}
 	e := core.NewEvaluator(core.EvalConfig{Predictor: &allocPredictor{}})
 	if got := feedAllocs(e, window); got < 1 {

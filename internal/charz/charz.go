@@ -246,36 +246,37 @@ func Characterize(tr *trace.Trace, opt Options) (*Report, error) {
 		if ev.Kind != trace.KindBranch {
 			continue
 		}
-		st := states[ev.PC]
+		pc, taken := uint64(ev.PC), ev.Taken()
+		st := states[pc]
 		if st == nil {
-			st = &branchState{pc: ev.PC, cond: make([]ctxCounts, len(opt.Depths))}
+			st = &branchState{pc: pc, cond: make([]ctxCounts, len(opt.Depths))}
 			for i := range st.cond {
 				st.cond[i] = make(ctxCounts)
 			}
 			if opt.GlobalDepth > 0 {
 				st.gcond = make(ctxCounts)
 			}
-			states[ev.PC] = st
+			states[pc] = st
 		}
 
-		st.probe.observe(st.hist, ev.Taken)
+		st.probe.observe(st.hist, taken)
 		for i, d := range opt.Depths {
 			// st.n counts prior occurrences here: condition only once
 			// the branch's own history is d deep.
 			if st.n >= uint64(d) {
-				st.cond[i].add(st.hist&mask(d), ev.Taken)
+				st.cond[i].add(st.hist&mask(d), taken)
 			}
 		}
 		if opt.GlobalDepth > 0 && gseen >= uint64(opt.GlobalDepth) {
-			st.gcond.add(ghist&mask(opt.GlobalDepth), ev.Taken)
+			st.gcond.add(ghist&mask(opt.GlobalDepth), taken)
 		}
 
 		st.n++
-		if ev.Taken {
+		if taken {
 			st.taken++
 		}
-		st.hist = st.hist<<1 | b2u(ev.Taken)
-		ghist = ghist<<1 | b2u(ev.Taken)
+		st.hist = st.hist<<1 | b2u(taken)
+		ghist = ghist<<1 | b2u(taken)
 		gseen++
 		events++
 	}

@@ -16,8 +16,8 @@ func evTrace(evs ...[2]uint64) *trace.Trace {
 		tr.Events = append(tr.Events, trace.Event{
 			Kind:  trace.KindBranch,
 			Step:  uint64(i),
-			PC:    e[0],
-			Taken: e[1] == 1,
+			PC:    uint32(e[0]),
+			Flags: trace.FlagTaken.If(e[1] == 1),
 		})
 	}
 	tr.Branches = uint64(len(evs))

@@ -50,12 +50,13 @@ func (e *Evaluator) FeedBatch(events []trace.Event) {
 			m.PredDefs++
 			// Testing PGUOff first keeps the Selects call off every
 			// define when PGU is off (measured, EXPERIMENTS.md).
-			if pguPolicy != PGUOff && pguPolicy.Selects(ev) && ev.Executed {
-				e.pending = append(e.pending, pendingBit{applyAt: ev.Step + pguDelay, bit: ev.Value})
+			if pguPolicy != PGUOff && pguPolicy.Selects(ev) && ev.Executed() {
+				e.pending = append(e.pending, pendingBit{applyAt: ev.Step + pguDelay, bit: ev.Value()})
 			}
 		case trace.KindBranch:
+			pc, taken := uint64(ev.PC), ev.Taken()
 			m.Branches++
-			if ev.Region {
+			if ev.Region() {
 				m.RegionBranches++
 			}
 			var bs *BranchStats
@@ -63,49 +64,49 @@ func (e *Evaluator) FeedBatch(events []trace.Event) {
 				if m.ByPC == nil {
 					m.ByPC = make(map[uint64]*BranchStats)
 				}
-				bs = m.ByPC[ev.PC]
+				bs = m.ByPC[pc]
 				if bs == nil {
-					bs = &BranchStats{PC: ev.PC, Region: ev.Region}
-					m.ByPC[ev.PC] = bs
+					bs = &BranchStats{PC: pc, Region: ev.Region()}
+					m.ByPC[pc] = bs
 				}
 				bs.Count++
-				if ev.Taken {
+				if taken {
 					bs.Taken++
 				}
 			}
 			if useSFPF && ev.Guard != isa.P0 && ev.GuardDist >= resolveDelay {
-				if !ev.GuardVal {
+				if !ev.GuardVal() {
 					// Known-false guard: the branch cannot be taken.
 					m.Filtered++
-					if ev.Taken {
+					if taken {
 						m.FilterErrors++ // impossible by ISA semantics
 					}
 					if bs != nil {
 						bs.Filtered++
 					}
 					if trainFiltered {
-						p.PredictUpdate(ev.PC, ev.Taken)
+						p.PredictUpdate(pc, taken)
 					}
 					continue
 				}
-				if filterTrue && ev.GuardImpliesTaken {
+				if filterTrue && ev.GuardImpliesTaken() {
 					// Known-true guard on a guard-implies-taken branch.
 					m.FilteredTrue++
-					if !ev.Taken {
+					if !taken {
 						m.FilterErrors++
 					}
 					if bs != nil {
 						bs.Filtered++
 					}
 					if trainFiltered {
-						p.PredictUpdate(ev.PC, ev.Taken)
+						p.PredictUpdate(pc, taken)
 					}
 					continue
 				}
 			}
-			if p.PredictUpdate(ev.PC, ev.Taken) != ev.Taken {
+			if p.PredictUpdate(pc, taken) != taken {
 				m.Mispredicts++
-				if ev.Region {
+				if ev.Region() {
 					m.RegionMispredicts++
 				}
 				if bs != nil {
@@ -133,16 +134,17 @@ func (e *Evaluator) feedTight(events []trace.Event) {
 			}
 			continue
 		}
+		pc, taken := uint64(ev.PC), ev.Taken()
 		m.Branches++
-		if ev.Region {
+		if ev.Region() {
 			m.RegionBranches++
-			if p.PredictUpdate(ev.PC, ev.Taken) != ev.Taken {
+			if p.PredictUpdate(pc, taken) != taken {
 				m.Mispredicts++
 				m.RegionMispredicts++
 			}
 			continue
 		}
-		if p.PredictUpdate(ev.PC, ev.Taken) != ev.Taken {
+		if p.PredictUpdate(pc, taken) != taken {
 			m.Mispredicts++
 		}
 	}

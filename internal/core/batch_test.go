@@ -39,23 +39,22 @@ func syntheticBatch(n int) []trace.Event {
 	for i := range evs {
 		if i%4 == 3 {
 			evs[i] = trace.Event{
-				Kind: trace.KindPredDef, PC: uint64(i % 64),
-				Executed: r.Chance(0.9), Value: r.Bool(),
-				FeedsBranch: true, FeedsRegionBranch: i%8 == 7,
+				Kind: trace.KindPredDef, PC: uint32(i % 64),
+				Flags: trace.FlagExecuted.If(r.Chance(0.9)) | trace.FlagValue.If(r.Bool()) |
+					trace.FlagFeedsBranch | trace.FlagFeedsRegionBranch.If(i%8 == 7),
 			}
 			continue
 		}
 		ev := trace.Event{
-			Kind: trace.KindBranch, PC: uint64(i % 128),
-			Taken: r.Bool(), Region: i%5 == 0,
+			Kind: trace.KindBranch, PC: uint32(i % 128),
+			Flags: trace.FlagTaken.If(r.Bool()) | trace.FlagRegion.If(i%5 == 0),
 		}
 		if i%6 == 0 {
 			ev.Guard = isa.PReg(1)
 			ev.GuardDist = 16
-			ev.GuardImpliesTaken = true
 			// A known-false guard forces the branch not taken; keep the
 			// event consistent so FilterErrors stays zero.
-			ev.GuardVal = ev.Taken
+			ev.Flags |= trace.FlagGuardImpliesTaken | trace.FlagGuardVal.If(ev.Taken())
 		}
 		evs[i] = ev
 	}
@@ -179,14 +178,14 @@ func TestPendingCapacityBounded(t *testing.T) {
 		batch = batch[:0]
 		for j := 0; j < burst; j++ {
 			batch = append(batch, trace.Event{
-				Kind: trace.KindPredDef, Step: step, PC: uint64(j),
-				Executed: true, Value: j%2 == 0, FeedsBranch: true,
+				Kind: trace.KindPredDef, Step: step, PC: uint32(j),
+				Flags: trace.FlagExecuted | trace.FlagValue.If(j%2 == 0) | trace.FlagFeedsBranch,
 			})
 			step++
 		}
 		for j := 0; j < burst; j++ {
 			batch = append(batch, trace.Event{
-				Kind: trace.KindBranch, Step: step, PC: uint64(j), Taken: j%3 == 0,
+				Kind: trace.KindBranch, Step: step, PC: uint32(j), Flags: trace.FlagTaken.If(j%3 == 0),
 			})
 			step += 3 // staggered steps drain the pending bits partially
 		}

@@ -84,8 +84,8 @@ func TestSFPFReset(t *testing.T) {
 
 func TestPGUPolicySelects(t *testing.T) {
 	defAll := &trace.Event{Kind: trace.KindPredDef}
-	defBr := &trace.Event{Kind: trace.KindPredDef, FeedsBranch: true}
-	defRg := &trace.Event{Kind: trace.KindPredDef, FeedsBranch: true, FeedsRegionBranch: true}
+	defBr := &trace.Event{Kind: trace.KindPredDef, Flags: trace.FlagFeedsBranch}
+	defRg := &trace.Event{Kind: trace.KindPredDef, Flags: trace.FlagFeedsBranch | trace.FlagFeedsRegionBranch}
 	br := &trace.Event{Kind: trace.KindBranch}
 	cases := []struct {
 		p    PGUPolicy
@@ -108,9 +108,9 @@ func TestPGUPolicySelects(t *testing.T) {
 		// The timing model selects by the static classes alone; on a
 		// define the two forms must agree.
 		if c.ev.Kind == trace.KindPredDef {
-			if got := c.p.SelectsDefine(c.ev.FeedsBranch, c.ev.FeedsRegionBranch); got != c.want {
+			if got := c.p.SelectsDefine(c.ev.FeedsBranch(), c.ev.FeedsRegionBranch()); got != c.want {
 				t.Errorf("%s.SelectsDefine(%v, %v) = %v, want %v",
-					c.p, c.ev.FeedsBranch, c.ev.FeedsRegionBranch, got, c.want)
+					c.p, c.ev.FeedsBranch(), c.ev.FeedsRegionBranch(), got, c.want)
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func ParsePGUPolicy(s string) (PGUPolicy, error) {
 
 // Selects reports whether the policy inserts this predicate-define event.
 func (p PGUPolicy) Selects(ev *trace.Event) bool {
-	return ev.Kind == trace.KindPredDef && p.SelectsDefine(ev.FeedsBranch, ev.FeedsRegionBranch)
+	return ev.Kind == trace.KindPredDef && p.SelectsDefine(ev.FeedsBranch(), ev.FeedsRegionBranch())
 }
 
 // SelectsDefine reports whether the policy inserts a compare by its

@@ -51,6 +51,17 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
+	// A short trace whose first record has a nonzero pad byte: the
+	// decode must clear it, or the round trip (which writes pad 0)
+	// compares unequal.
+	short := &trace.Trace{Name: tr.Name, Events: tr.Events[:4]}
+	var sbuf bytes.Buffer
+	if _, err := short.WriteTo(&sbuf); err != nil {
+		f.Fatal(err)
+	}
+	padded := sbuf.Bytes()
+	padded[4+4+4+len(short.Name)+6*8+3] = 0xFF
+	f.Add(padded)
 	f.Add([]byte("P64T"))
 	f.Add([]byte{})
 

@@ -43,15 +43,16 @@ func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 
 		if ev.Kind == trace.KindPredDef {
 			m.PredDefs++
-			if inserting && cfg.PGU.Selects(ev) && ev.Executed {
-				queue = append(queue, delayed{applyAt: ev.Step + cfg.PGUDelay, bit: ev.Value})
+			if inserting && cfg.PGU.Selects(ev) && ev.Executed() {
+				queue = append(queue, delayed{applyAt: ev.Step + cfg.PGUDelay, bit: ev.Value()})
 			}
 			continue
 		}
 
 		// Branch event.
+		pc, taken := uint64(ev.PC), ev.Taken()
 		m.Branches++
-		if ev.Region {
+		if ev.Region() {
 			m.RegionBranches++
 		}
 		var bs *core.BranchStats
@@ -59,13 +60,13 @@ func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 			if m.ByPC == nil {
 				m.ByPC = make(map[uint64]*core.BranchStats)
 			}
-			bs = m.ByPC[ev.PC]
+			bs = m.ByPC[pc]
 			if bs == nil {
-				bs = &core.BranchStats{PC: ev.PC, Region: ev.Region}
-				m.ByPC[ev.PC] = bs
+				bs = &core.BranchStats{PC: pc, Region: ev.Region()}
+				m.ByPC[pc] = bs
 			}
 			bs.Count++
-			if ev.Taken {
+			if taken {
 				bs.Taken++
 			}
 		}
@@ -74,15 +75,15 @@ func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 		// predicate and resolved early enough to be known at fetch.
 		if cfg.UseSFPF && ev.Guard != isa.P0 && ev.GuardDist >= cfg.ResolveDelay {
 			filtered := false
-			if !ev.GuardVal {
+			if !ev.GuardVal() {
 				m.Filtered++
-				if ev.Taken {
+				if taken {
 					m.FilterErrors++
 				}
 				filtered = true
-			} else if cfg.FilterTrue && ev.GuardImpliesTaken {
+			} else if cfg.FilterTrue && ev.GuardImpliesTaken() {
 				m.FilteredTrue++
-				if !ev.Taken {
+				if !taken {
 					m.FilterErrors++
 				}
 				filtered = true
@@ -92,15 +93,15 @@ func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 					bs.Filtered++
 				}
 				if cfg.TrainFiltered {
-					p.PredictUpdate(ev.PC, ev.Taken)
+					p.PredictUpdate(pc, taken)
 				}
 				continue
 			}
 		}
 
-		if p.PredictUpdate(ev.PC, ev.Taken) != ev.Taken {
+		if p.PredictUpdate(pc, taken) != taken {
 			m.Mispredicts++
-			if ev.Region {
+			if ev.Region() {
 				m.RegionMispredicts++
 			}
 			if bs != nil {

@@ -57,26 +57,23 @@ func refTrace(p *prog.Program, limit uint64) (*trace.Trace, error) {
 		switch {
 		case in.Op == isa.OpCmp:
 			tr.Events = append(tr.Events, trace.Event{
-				Kind:              trace.KindPredDef,
-				Step:              step,
-				PC:                uint64(si.Index),
-				Executed:          si.GuardTrue,
-				Value:             si.CmpValue,
-				FeedsBranch:       branchGuards&(1<<in.PD1|1<<in.PD2) != 0,
-				FeedsRegionBranch: regionGuards&(1<<in.PD1|1<<in.PD2) != 0,
+				Kind: trace.KindPredDef,
+				Step: step,
+				PC:   uint32(si.Index),
+				Flags: trace.FlagExecuted.If(si.GuardTrue) | trace.FlagValue.If(si.CmpValue) |
+					trace.FlagFeedsBranch.If(branchGuards&(1<<in.PD1|1<<in.PD2) != 0) |
+					trace.FlagFeedsRegionBranch.If(regionGuards&(1<<in.PD1|1<<in.PD2) != 0),
 			})
 			tr.PredDefs++
 		case (in.Op == isa.OpBr || in.Op == isa.OpBrl) && in.QP != isa.P0, in.Op == isa.OpCloop:
 			tr.Events = append(tr.Events, trace.Event{
-				Kind:              trace.KindBranch,
-				Step:              step,
-				PC:                uint64(si.Index),
-				Taken:             si.Taken,
-				Guard:             in.QP,
-				GuardVal:          si.GuardTrue,
-				GuardDist:         step - lastDef[in.QP],
-				Region:            in.Region,
-				GuardImpliesTaken: in.Op != isa.OpCloop,
+				Kind:  trace.KindBranch,
+				Step:  step,
+				PC:    uint32(si.Index),
+				Guard: in.QP,
+				Flags: trace.FlagTaken.If(si.Taken) | trace.FlagGuardVal.If(si.GuardTrue) |
+					trace.FlagRegion.If(in.Region) | trace.FlagGuardImpliesTaken.If(in.Op != isa.OpCloop),
+				GuardDist: step - lastDef[in.QP],
 			})
 			tr.Branches++
 			if in.Region {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -112,24 +113,27 @@ func EventToJSON(ev *trace.Event) EventJSON {
 		kind = "preddef"
 	}
 	return EventJSON{
-		Kind: kind, Step: ev.Step, PC: ev.PC,
-		Taken: ev.Taken, Guard: uint8(ev.Guard), GuardVal: ev.GuardVal,
-		GuardDist: ev.GuardDist, Region: ev.Region,
-		GuardImpliesTaken: ev.GuardImpliesTaken,
-		Executed:          ev.Executed, Value: ev.Value,
-		FeedsBranch: ev.FeedsBranch, FeedsRegionBranch: ev.FeedsRegionBranch,
+		Kind: kind, Step: ev.Step, PC: uint64(ev.PC),
+		Taken: ev.Taken(), Guard: uint8(ev.Guard), GuardVal: ev.GuardVal(),
+		GuardDist: ev.GuardDist, Region: ev.Region(),
+		GuardImpliesTaken: ev.GuardImpliesTaken(),
+		Executed:          ev.Executed(), Value: ev.Value(),
+		FeedsBranch: ev.FeedsBranch(), FeedsRegionBranch: ev.FeedsRegionBranch(),
 	}
 }
 
-// Event converts the wire form back to a trace event.
+// Event converts the wire form back to a trace event. A PC must fit the
+// event's 32 bits, as it must in the binary form.
 func (e EventJSON) Event() (trace.Event, error) {
+	if e.PC > math.MaxUint32 {
+		return trace.Event{}, fmt.Errorf("pc %#x does not fit 32 bits", e.PC)
+	}
 	ev := trace.Event{
-		Step: e.Step, PC: e.PC,
-		Taken: e.Taken, Guard: isa.PReg(e.Guard), GuardVal: e.GuardVal,
-		GuardDist: e.GuardDist, Region: e.Region,
-		GuardImpliesTaken: e.GuardImpliesTaken,
-		Executed:          e.Executed, Value: e.Value,
-		FeedsBranch: e.FeedsBranch, FeedsRegionBranch: e.FeedsRegionBranch,
+		Step: e.Step, PC: uint32(e.PC), Guard: isa.PReg(e.Guard), GuardDist: e.GuardDist,
+		Flags: trace.FlagTaken.If(e.Taken) | trace.FlagGuardVal.If(e.GuardVal) |
+			trace.FlagRegion.If(e.Region) | trace.FlagGuardImpliesTaken.If(e.GuardImpliesTaken) |
+			trace.FlagExecuted.If(e.Executed) | trace.FlagValue.If(e.Value) |
+			trace.FlagFeedsBranch.If(e.FeedsBranch) | trace.FlagFeedsRegionBranch.If(e.FeedsRegionBranch),
 	}
 	switch e.Kind {
 	case "branch":

@@ -14,13 +14,13 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	events := []trace.Event{
 		{
 			Kind: trace.KindBranch, Step: 42, PC: 0x1234,
-			Taken: true, Guard: isa.PReg(3), GuardVal: true, GuardDist: 17,
-			Region: true, GuardImpliesTaken: true,
+			Flags: trace.FlagTaken | trace.FlagGuardVal | trace.FlagRegion | trace.FlagGuardImpliesTaken,
+			Guard: isa.PReg(3), GuardDist: 17,
 		},
 		{
 			Kind: trace.KindPredDef, Step: 43, PC: 0x1238,
-			Guard: isa.PReg(5), Executed: true, Value: true,
-			FeedsBranch: true, FeedsRegionBranch: true,
+			Guard: isa.PReg(5),
+			Flags: trace.FlagExecuted | trace.FlagValue | trace.FlagFeedsBranch | trace.FlagFeedsRegionBranch,
 		},
 		{Kind: trace.KindBranch, Step: 0, PC: 0}, // zero-valued fields survive
 	}

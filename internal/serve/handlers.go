@@ -120,12 +120,40 @@ var batchPool = sync.Pool{
 	},
 }
 
-// readerPool recycles the bufio.Reader each binary batch decode reads
-// the request body through. 64 KiB of buffer turns a 8192-event post
-// into a handful of large reads feeding the decoder's bulk Peek/Discard
-// path, and pooling it keeps the per-request allocation profile flat.
+// readerPool recycles the bufio.Reader each binary body decode reads
+// the request body through. The decoder reads event records into the
+// event slice; bufio passes a read of at least its buffer size straight
+// to the body and serves the rest (the header, the records a fill
+// brought in with it, the trailing-bytes check) from its 64 KiB buffer.
+// Pooling it keeps the per-request allocation profile flat.
 var readerPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 64<<10) },
+}
+
+// errTrailingBytes rejects a binary body that continues past its trace.
+var errTrailingBytes = errors.New("trace: bytes after the last event")
+
+// readTraceBody decodes a binary (P64T) request body into scratch, as
+// trace.ReadTraceFrom does, through a pooled reader. The body must be
+// exactly one trace: bytes left after the declared event count are an
+// error, so a client cannot lose a concatenated second batch unnoticed.
+func readTraceBody(body io.Reader, scratch []trace.Event) (*trace.Trace, error) {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(body)
+	tr, err := trace.ReadTraceFrom(br, scratch)
+	if err == nil {
+		if _, err = br.ReadByte(); err == nil {
+			err = errTrailingBytes
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
+	br.Reset(nil) // drop the body reference before pooling
+	readerPool.Put(br)
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
@@ -143,11 +171,7 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if isBinary(r) {
 		pooled = batchPool.Get().(*[]trace.Event)
-		br := readerPool.Get().(*bufio.Reader)
-		br.Reset(r.Body)
-		tr, err := trace.ReadTraceFrom(br, *pooled)
-		br.Reset(nil) // drop the body reference before pooling
-		readerPool.Put(br)
+		tr, err := readTraceBody(r.Body, *pooled)
 		if err != nil {
 			batchPool.Put(pooled)
 			writeBodyError(w, err, "bad_trace", err.Error())
@@ -336,7 +360,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-		if tr, err = trace.ReadTrace(r.Body); err != nil {
+		if tr, err = readTraceBody(r.Body, nil); err != nil {
 			writeBodyError(w, err, "bad_trace", err.Error())
 			return
 		}

@@ -249,6 +249,36 @@ func TestErrorEnvelopes(t *testing.T) {
 	// Bad event kind.
 	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events",
 		BatchRequest{Events: []EventJSON{{Kind: "jump"}}}, http.StatusBadRequest, "bad_event")
+	// A PC beyond 32 bits: the binary form cannot carry it, so the JSON
+	// form refuses it rather than feeding an event P64T would truncate.
+	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events",
+		BatchRequest{Events: []EventJSON{{Kind: "branch", PC: 1<<40 | 5}}}, http.StatusBadRequest, "bad_event")
+
+	// A binary body holding two traces back to back: the bytes after the
+	// first trace's declared events are refused, not silently dropped.
+	// The server's default body limit leaves room for both traces.
+	ts2, _ := newTestServer(t, Config{})
+	var sess2 SessionJSON
+	doJSON(t, "POST", ts2.URL+"/v1/sessions", SessionRequest{Spec: "gshare"}, http.StatusCreated, &sess2)
+	var two bytes.Buffer
+	for i := 0; i < 2; i++ {
+		if _, err := (&trace.Trace{Name: "ten", Events: make([]trace.Event, 10)}).WriteTo(&two); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, url := range []string{ts2.URL + "/v1/sessions/" + sess2.ID + "/events", ts2.URL + "/v1/sweep?spec=gshare"} {
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(two.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope ErrorBody
+		json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "bad_trace" {
+			t.Errorf("POST %s with two concatenated traces: %d %q, want 400 bad_trace (message %q)",
+				url, resp.StatusCode, envelope.Error.Code, envelope.Error.Message)
+		}
+	}
 }
 
 // TestSweepEndpoint sweeps a grid over a named workload and over an

@@ -83,13 +83,13 @@ func TestStreamMatchesCollect(t *testing.T) {
 				if i > 0 && ev.Step <= tr.Events[i-1].Step {
 					t.Fatalf("event %d at step %d follows step %d", i, ev.Step, tr.Events[i-1].Step)
 				}
-				if ev.Step >= tr.Insts || uint64(x.Steps[ev.Step].Index()) != ev.PC {
+				if ev.Step >= tr.Insts || x.Steps[ev.Step].Index() != int(ev.PC) {
 					t.Fatalf("event %d (%+v) is not its step's instruction", i, ev)
 				}
 				switch ev.Kind {
 				case trace.KindBranch:
 					branches++
-					if ev.Region {
+					if ev.Region() {
 						region++
 					}
 				case trace.KindPredDef:

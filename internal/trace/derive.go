@@ -29,27 +29,23 @@ func FromRecording(x *record.Recording) (*Trace, error) {
 		switch in.Event {
 		case record.Define:
 			tr.Events[k] = Event{
-				Kind:              KindPredDef,
-				Step:              n,
-				PC:                uint64(s.Index()),
-				Executed:          s.Guard(),
-				Value:             s.Cmp(),
-				FeedsBranch:       in.FeedsBranch,
-				FeedsRegionBranch: in.FeedsRegionBranch,
+				Kind: KindPredDef,
+				Step: n,
+				PC:   uint32(s.Index()),
+				Flags: FlagExecuted.If(s.Guard()) | FlagValue.If(s.Cmp()) |
+					FlagFeedsBranch.If(in.FeedsBranch) | FlagFeedsRegionBranch.If(in.FeedsRegionBranch),
 			}
 			k++
 			tr.PredDefs++
 		case record.Branch:
 			tr.Events[k] = Event{
-				Kind:              KindBranch,
-				Step:              n,
-				PC:                uint64(s.Index()),
-				Taken:             s.Taken(),
-				Guard:             in.QP,
-				GuardVal:          s.Guard(),
-				GuardDist:         n - lastDef[in.QP],
-				Region:            in.Region,
-				GuardImpliesTaken: in.GuardImpliesTaken,
+				Kind:  KindBranch,
+				Step:  n,
+				PC:    uint32(s.Index()),
+				Guard: in.QP,
+				Flags: FlagTaken.If(s.Taken()) | FlagGuardVal.If(s.Guard()) |
+					FlagRegion.If(in.Region) | FlagGuardImpliesTaken.If(in.GuardImpliesTaken),
+				GuardDist: n - lastDef[in.QP],
 			}
 			k++
 			tr.Branches++

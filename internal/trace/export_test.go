@@ -9,3 +9,7 @@ const VersionForTest = traceVersion
 // chunk-boundary cases are placed around it. record's own tests pin the
 // value.
 const RecordChunkForTest = 4096
+
+// DecodeChunkForTest is ReadTraceFrom's growth chunk, in events; the
+// chunk-boundary and hostile-header cases are placed around it.
+const DecodeChunkForTest = decodeChunk

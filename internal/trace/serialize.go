@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
-
-	"repro/internal/isa"
+	"unsafe"
 )
 
 // Binary trace format:
@@ -18,8 +16,11 @@ import (
 //	u64 event count, then one 24-byte record per event:
 //	    u8 kind, u8 flags, u8 guard, u8 pad, u32 pc, u64 step, u64 guardDist
 //
-// flags bit layout: taken, guardVal, region, guardImpliesTaken, executed,
-// value, feedsBranch, feedsRegionBranch (LSB first). Little-endian.
+// flags is Event.Flags (FlagTaken first, LSB). Little-endian. Writers
+// store the pad byte as zero; readers ignore it. A record is an Event's
+// memory image: decoding reads the records straight into the event
+// slice and then sets the multi-byte fields from their little-endian
+// bytes, which also makes it correct on a big-endian host.
 
 var traceMagic = [4]byte{'P', '6', '4', 'T'}
 
@@ -27,45 +28,10 @@ const traceVersion = 1
 
 const eventRecordSize = 24
 
-const (
-	fTaken = 1 << iota
-	fGuardVal
-	fRegion
-	fGuardImpliesTaken
-	fExecuted
-	fValue
-	fFeedsBranch
-	fFeedsRegionBranch
-)
-
-func packFlags(ev *Event) byte {
-	var f byte
-	set := func(bit byte, v bool) {
-		if v {
-			f |= bit
-		}
-	}
-	set(fTaken, ev.Taken)
-	set(fGuardVal, ev.GuardVal)
-	set(fRegion, ev.Region)
-	set(fGuardImpliesTaken, ev.GuardImpliesTaken)
-	set(fExecuted, ev.Executed)
-	set(fValue, ev.Value)
-	set(fFeedsBranch, ev.FeedsBranch)
-	set(fFeedsRegionBranch, ev.FeedsRegionBranch)
-	return f
-}
-
-func unpackFlags(ev *Event, f byte) {
-	ev.Taken = f&fTaken != 0
-	ev.GuardVal = f&fGuardVal != 0
-	ev.Region = f&fRegion != 0
-	ev.GuardImpliesTaken = f&fGuardImpliesTaken != 0
-	ev.Executed = f&fExecuted != 0
-	ev.Value = f&fValue != 0
-	ev.FeedsBranch = f&fFeedsBranch != 0
-	ev.FeedsRegionBranch = f&fFeedsRegionBranch != 0
-}
+// decodeChunk bounds, in events, how far a decode grows the event slice
+// ahead of the bytes it has read, so a hostile or truncated header fails
+// with a read error after at most one chunk of allocation.
+const decodeChunk = 16 << 10
 
 // WriteTo serialises the trace. It implements io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
@@ -81,10 +47,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	for i := range t.Events {
 		ev := &t.Events[i]
 		rec[0] = byte(ev.Kind)
-		rec[1] = packFlags(ev)
+		rec[1] = byte(ev.Flags)
 		rec[2] = byte(ev.Guard)
-		rec[3] = 0
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(ev.PC))
+		binary.LittleEndian.PutUint32(rec[4:8], ev.PC)
 		binary.LittleEndian.PutUint64(rec[8:16], ev.Step)
 		binary.LittleEndian.PutUint64(rec[16:24], ev.GuardDist)
 		cw.write(rec[:])
@@ -161,74 +126,42 @@ func ReadTraceFrom(br *bufio.Reader, scratch []Event) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("trace: implausible event count %d", count)
 	}
-	// Grow the event slice as records arrive rather than trusting the
-	// declared count up front: a truncated or hostile header then fails
-	// with a read error instead of a multi-gigabyte allocation.
-	if cap(scratch) > 0 {
-		tr.Events = scratch[:0]
-	} else {
-		tr.Events = make([]Event, 0, min(count, 1<<16))
-	}
-	var rec [eventRecordSize]byte
-	for i := uint64(0); i < count; {
-		// Bulk path: decode every whole record the reader already holds
-		// in one Peek/Discard round, so the common case is one buffer
-		// fill per ~170 records instead of a copying ReadFull per record.
-		// Peek triggers a fill when fewer than one record is buffered, so
-		// this also drives the underlying reads.
-		if buf, _ := br.Peek(eventRecordSize); len(buf) >= eventRecordSize {
-			n := br.Buffered() / eventRecordSize
-			if rem := count - i; uint64(n) > rem {
-				n = int(rem)
-			}
-			chunk, _ := br.Peek(n * eventRecordSize)
-			// Grow once and decode into the final slots: a per-record
-			// `var ev Event` + append would zero and then copy every
-			// ~64-byte struct twice. Growth stays bounded by the bytes
-			// actually buffered, so a hostile count still cannot force a
-			// huge allocation.
-			base := len(tr.Events)
-			tr.Events = slices.Grow(tr.Events, n)[:base+n]
-			for k := 0; k < n; k++ {
-				// decodeRecord's body, by hand: at 110 cost units it is
-				// over the inlining budget, and the call alone is ~25% of
-				// a record's decode time at this loop's throughput.
-				rec := chunk[k*eventRecordSize : (k+1)*eventRecordSize : (k+1)*eventRecordSize]
-				ev := &tr.Events[base+k]
-				ev.Kind = Kind(rec[0])
-				unpackFlags(ev, rec[1])
-				ev.Guard = isa.PReg(rec[2])
-				ev.PC = uint64(binary.LittleEndian.Uint32(rec[4:8]))
-				ev.Step = binary.LittleEndian.Uint64(rec[8:16])
-				ev.GuardDist = binary.LittleEndian.Uint64(rec[16:24])
-			}
-			br.Discard(n * eventRecordSize)
-			i += uint64(n)
-			continue
+	tr.Events = scratch[:0]
+	for read := uint64(0); read < count; {
+		// Grow one chunk and read its records straight into the new
+		// events: bufio passes reads of at least its buffer size to the
+		// underlying stream, so past what it already buffered the bytes
+		// land in event memory without an extra copy.
+		n := int(min(count-read, decodeChunk))
+		base := len(tr.Events)
+		if cap(tr.Events)-base < n {
+			// Double, as append would, in one allocation: slices.Grow
+			// also allocates its zero-filled operand when the compiler
+			// instruments the code (-race).
+			grown := make([]Event, base, base+max(base, n))
+			copy(grown, tr.Events)
+			tr.Events = grown
 		}
-		// A record straddling the buffer tail of a short fill: fall back
-		// to a blocking whole-record read, which also shapes truncation
-		// errors exactly as the per-record loop did (io.EOF at a record
-		// boundary, io.ErrUnexpectedEOF mid-record).
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", i, err)
+		tr.Events = tr.Events[:base+n]
+		chunk := tr.Events[base:]
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(&chunk[0])), n*eventRecordSize)
+		if got, err := io.ReadFull(br, raw); err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", read+uint64(got/eventRecordSize), err)
 		}
-		var ev Event
-		decodeRecord(&ev, rec[:])
-		tr.Events = append(tr.Events, ev)
-		i++
+		// Kind, Flags and Guard are single bytes and already in place;
+		// clear the pad byte and set the wider fields from their
+		// little-endian bytes.
+		for i := range chunk {
+			ev := &chunk[i]
+			rec := (*[eventRecordSize]byte)(unsafe.Pointer(ev))
+			rec[3] = 0
+			ev.PC = binary.LittleEndian.Uint32(rec[4:8])
+			ev.Step = binary.LittleEndian.Uint64(rec[8:16])
+			ev.GuardDist = binary.LittleEndian.Uint64(rec[16:24])
+		}
+		read += uint64(n)
 	}
 	return tr, nil
-}
-
-// decodeRecord unpacks one fixed-size event record.
-func decodeRecord(ev *Event, rec []byte) {
-	ev.Kind = Kind(rec[0])
-	unpackFlags(ev, rec[1])
-	ev.Guard = isa.PReg(rec[2])
-	ev.PC = uint64(binary.LittleEndian.Uint32(rec[4:8]))
-	ev.Step = binary.LittleEndian.Uint64(rec[8:16])
-	ev.GuardDist = binary.LittleEndian.Uint64(rec[16:24])
 }
 
 type countWriter struct {

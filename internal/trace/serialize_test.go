@@ -8,7 +8,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ifconv"
 	"repro/internal/trace"
@@ -165,9 +167,9 @@ func testEvents(n int) []trace.Event {
 	evs := make([]trace.Event, n)
 	for i := range evs {
 		if i%3 == 2 {
-			evs[i] = trace.Event{Kind: trace.KindPredDef, Step: uint64(i), PC: uint64(i % 17), Executed: true, Value: i%2 == 0}
+			evs[i] = trace.Event{Kind: trace.KindPredDef, Step: uint64(i), PC: uint32(i % 17), Flags: trace.FlagExecuted | trace.FlagValue.If(i%2 == 0)}
 		} else {
-			evs[i] = trace.Event{Kind: trace.KindBranch, Step: uint64(i), PC: uint64(i % 31), Taken: i%2 == 1, GuardDist: uint64(i % 7)}
+			evs[i] = trace.Event{Kind: trace.KindBranch, Step: uint64(i), PC: uint32(i % 31), Flags: trace.FlagTaken.If(i%2 == 1), GuardDist: uint64(i % 7)}
 		}
 	}
 	return evs
@@ -214,5 +216,117 @@ func TestReadTraceFromReusesScratch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again.Events, plain.Events) {
 		t.Fatal("second decode into recycled buffer diverged")
+	}
+}
+
+// TestEventLayout pins Event to the P64T record: 24 bytes, with each
+// field at its record offset, so a decode can read records straight into
+// an event slice.
+func TestEventLayout(t *testing.T) {
+	var ev trace.Event
+	if got := unsafe.Sizeof(ev); got != 24 {
+		t.Errorf("sizeof(Event) = %d, want 24", got)
+	}
+	for _, c := range []struct {
+		field     string
+		got, want uintptr
+	}{
+		{"Kind", unsafe.Offsetof(ev.Kind), 0},
+		{"Flags", unsafe.Offsetof(ev.Flags), 1},
+		{"Guard", unsafe.Offsetof(ev.Guard), 2},
+		{"PC", unsafe.Offsetof(ev.PC), 4},
+		{"Step", unsafe.Offsetof(ev.Step), 8},
+		{"GuardDist", unsafe.Offsetof(ev.GuardDist), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("offset of %s = %d, want %d", c.field, c.got, c.want)
+		}
+	}
+}
+
+// recordOffset is the byte offset of event i's record in a serialized
+// trace named name.
+func recordOffset(name string, i int) int {
+	return 4 + 4 + 4 + len(name) + 6*8 + i*24
+}
+
+// TestReadTraceIgnoresPad: a record whose pad byte is nonzero decodes to
+// exactly the event of the same record with pad zero. reflect.DeepEqual
+// compares the blank pad field, so a decode that left the wire byte in
+// place would fail here.
+func TestReadTraceIgnoresPad(t *testing.T) {
+	tr := &trace.Trace{Name: "pad", Events: testEvents(5)}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := trace.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := bytes.Clone(buf.Bytes())
+	for i := range tr.Events {
+		dirty[recordOffset(tr.Name, i)+3] = 0xA5
+	}
+	got, err := trace.ReadTrace(bytes.NewReader(dirty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, clean) {
+		t.Fatalf("nonzero pad changed the decode:\n got %+v\nwant %+v", got.Events, clean.Events)
+	}
+}
+
+// TestReadTraceChunkBoundary decodes a trace whose event count crosses
+// the decode's growth chunk, both fresh and into a scratch slice too
+// small for it.
+func TestReadTraceChunkBoundary(t *testing.T) {
+	tr := &trace.Trace{Name: "chunks", Events: testEvents(trace.DecodeChunkForTest + 3)}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Events, tr.Events) {
+		t.Fatal("fresh decode across the chunk boundary diverged")
+	}
+	into, err := trace.ReadTraceFrom(bufio.NewReader(bytes.NewReader(buf.Bytes())), make([]trace.Event, 0, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(into.Events, tr.Events) {
+		t.Fatal("scratch decode across the chunk boundary diverged")
+	}
+	// Truncated inside the second chunk: an error naming a record there.
+	if _, err := trace.ReadTrace(bytes.NewReader(buf.Bytes()[:buf.Len()-30])); err == nil {
+		t.Fatal("trace truncated in its second chunk accepted")
+	}
+}
+
+// TestReadTraceHostileCountBoundedAlloc declares 2^31 events but sends
+// ten: the decode must fail having allocated at most one growth chunk of
+// events (plus the reader and header), not the declared count.
+func TestReadTraceHostileCountBoundedAlloc(t *testing.T) {
+	body := corruptHeader(trace.VersionForTest, 1<<31)
+	var rec bytes.Buffer
+	if _, err := (&trace.Trace{Events: testEvents(10)}).WriteTo(&rec); err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, rec.Bytes()[recordOffset("", 0):]...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := trace.ReadTrace(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("short body under a hostile count accepted")
+	}
+	const slack = 16 << 10 // bufio reader, trace header, error text
+	limit := uint64(trace.DecodeChunkForTest*unsafe.Sizeof(trace.Event{})) + slack
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("hostile header allocated %d bytes before failing; want at most %d", got, limit)
 	}
 }

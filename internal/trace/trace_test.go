@@ -69,10 +69,10 @@ func TestCollectTakenMatchesOutcome(t *testing.T) {
 	if len(branches) != 2 {
 		t.Fatalf("got %d branch events", len(branches))
 	}
-	if !branches[0].Taken || !branches[0].GuardVal {
+	if !branches[0].Taken() || !branches[0].GuardVal() {
 		t.Errorf("first branch: %+v", branches[0])
 	}
-	if branches[1].Taken || branches[1].GuardVal {
+	if branches[1].Taken() || branches[1].GuardVal() {
 		t.Errorf("second branch: %+v", branches[1])
 	}
 }
@@ -124,7 +124,7 @@ func TestCloopEventsAreConditional(t *testing.T) {
 	for _, ev := range tr.Events {
 		if ev.Kind == trace.KindBranch {
 			n++
-			if ev.GuardImpliesTaken {
+			if ev.GuardImpliesTaken() {
 				t.Error("cloop marked guard-implies-taken")
 			}
 		}
@@ -184,10 +184,10 @@ func TestFeedsBranchClassification(t *testing.T) {
 	if len(defs) != 2 {
 		t.Fatalf("defs = %d", len(defs))
 	}
-	if !defs[0].FeedsBranch {
+	if !defs[0].FeedsBranch() {
 		t.Error("branch-feeding compare not flagged")
 	}
-	if defs[1].FeedsBranch {
+	if defs[1].FeedsBranch() {
 		t.Error("non-feeding compare flagged")
 	}
 }
@@ -199,7 +199,7 @@ func TestNullifiedCompareNotExecuted(t *testing.T) {
 	b.Halt(0)
 	tr := collect(t, b.MustProgram())
 	for _, ev := range tr.Events {
-		if ev.Kind == trace.KindPredDef && ev.Executed {
+		if ev.Kind == trace.KindPredDef && ev.Executed() {
 			t.Errorf("nullified compare marked executed: %+v", ev)
 		}
 	}
