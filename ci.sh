@@ -95,6 +95,7 @@ go test -run='^$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s ./internal/snap
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/isa
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/asm
 go test -run='^$' -fuzz=FuzzCompile -fuzztime=10s ./internal/lang
+go test -run='^$' -fuzz=FuzzPostEvents -fuzztime=10s ./internal/serve
 
 echo "== oracle =="
 go run ./cmd/oracle -events 100000

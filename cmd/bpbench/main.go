@@ -36,6 +36,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -395,11 +396,7 @@ func feedAllocs(e *core.Evaluator, window []trace.Event) float64 {
 // 64 KiB bufio.Reader (its pooled reader size) Reset onto each body and
 // a recycled event scratch slice.
 func benchDecode(window []trace.Event, minTime time.Duration) (Result, error) {
-	var batch bytes.Buffer
-	if _, err := (&trace.Trace{Name: "bench", Events: window}).WriteTo(&batch); err != nil {
-		return Result{}, err
-	}
-	payload := batch.Bytes()
+	payload := serve.EncodeBatch(window, 0)
 	body := bytes.NewReader(payload)
 	br := bufio.NewReaderSize(nil, 64<<10)
 	scratch := make([]trace.Event, 0, len(window))
@@ -429,40 +426,18 @@ func benchServe(spec sim.Spec, window []trace.Event, minTime time.Duration) (Res
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body, err := json.Marshal(serve.SessionRequest{Spec: spec.String()})
+	ctx := context.Background()
+	api := serve.NewClient(ts.URL, nil)
+	sess, err := api.Create(ctx, serve.SessionRequest{Spec: spec.String()})
 	if err != nil {
 		return Result{}, err
 	}
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return Result{}, err
-	}
-	var sess serve.SessionJSON
-	err = json.NewDecoder(resp.Body).Decode(&sess)
-	resp.Body.Close()
-	if err != nil {
-		return Result{}, err
-	}
-
-	var batch bytes.Buffer
-	bt := &trace.Trace{Name: "bench", Events: window}
-	if _, err := bt.WriteTo(&batch); err != nil {
-		return Result{}, err
-	}
-	payload := batch.Bytes()
-	url := ts.URL + "/v1/sessions/" + sess.ID + "/events"
+	payload := serve.EncodeBatch(window, 0)
 
 	var postErr error
 	r := bestRate(len(window), minTime, func() {
-		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(payload))
-		if err != nil {
+		if _, err := api.Feed(ctx, sess.ID, payload, 0, ""); err != nil {
 			postErr = err
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			postErr = fmt.Errorf("serve feed: HTTP %d", resp.StatusCode)
 		}
 	})
 	if postErr != nil {
@@ -487,47 +462,24 @@ func benchServeMulti(spec sim.Spec, window []trace.Event, minTime time.Duration)
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
 	defer client.CloseIdleConnections()
 
-	var batch bytes.Buffer
-	bt := &trace.Trace{Name: "bench", Events: window}
-	if _, err := bt.WriteTo(&batch); err != nil {
-		return Result{}, err
-	}
-	payload := batch.Bytes()
-
-	sessBody, err := json.Marshal(serve.SessionRequest{Spec: spec.String()})
-	if err != nil {
-		return Result{}, err
-	}
-	urls := make([]string, clients)
-	for i := range urls {
-		resp, err := client.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(sessBody))
+	ctx := context.Background()
+	api := serve.NewClient(ts.URL, client)
+	payload := serve.EncodeBatch(window, 0)
+	ids := make([]string, clients)
+	for i := range ids {
+		sess, err := api.Create(ctx, serve.SessionRequest{Spec: spec.String()})
 		if err != nil {
 			return Result{}, err
 		}
-		var sess serve.SessionJSON
-		err = json.NewDecoder(resp.Body).Decode(&sess)
-		resp.Body.Close()
-		if err != nil {
-			return Result{}, err
-		}
-		urls[i] = ts.URL + "/v1/sessions/" + sess.ID + "/events"
+		ids[i] = sess.ID
 	}
-
-	post := func(url string) error {
-		resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			return fmt.Errorf("serve feed: HTTP %d", resp.StatusCode)
-		}
-		return nil
+	post := func(id string) error {
+		_, err := api.Feed(ctx, id, payload, 0, "")
+		return err
 	}
 	// Warm up connections and session state outside the timed window.
-	for _, url := range urls {
-		if err := post(url); err != nil {
+	for _, id := range ids {
+		if err := post(id); err != nil {
 			return Result{}, err
 		}
 	}
@@ -537,18 +489,18 @@ func benchServeMulti(spec sim.Spec, window []trace.Event, minTime time.Duration)
 	start := time.Now()
 	deadline := start.Add(minTime)
 	var wg sync.WaitGroup
-	for _, url := range urls {
+	for _, id := range ids {
 		wg.Add(1)
-		go func(url string) {
+		go func(id string) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				if err := post(url); err != nil {
+				if err := post(id); err != nil {
 					errs <- err
 					return
 				}
 				batches.Add(1)
 			}
-		}(url)
+		}(id)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

@@ -2,7 +2,10 @@
 // drives N concurrent sessions with binary event batches from a workload
 // trace and reports throughput and batch latency percentiles, optionally
 // verifying that the server's metrics are byte-identical to replaying the
-// same batches through the evaluator locally.
+// same batches through the evaluator locally. It speaks the API through
+// serve.Client, whose *serve.APIError carries each refusal's status and
+// code; an error that is not one (the request may never have arrived)
+// is what cluster mode redelivers.
 //
 // Usage:
 //
@@ -44,7 +47,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -92,7 +94,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 
-	c := &client{base: "http://" + *addr, hc: &http.Client{}}
+	c := serve.NewClient("http://"+*addr, &http.Client{})
 	opts := serve.EvalOptions{SFPF: *sfpf, PGU: *pgu, PerBranch: *perBranch}
 	if *smoke {
 		return runSmoke(ctx, c, out, *spec, *wname)
@@ -146,73 +148,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// client is a minimal JSON/binary API client for bpservd.
-type client struct {
-	base string
-	hc   *http.Client
-}
-
-// errStatus reports a non-2xx API response, preserving the error envelope.
-type errStatus struct {
-	code int
-	body serve.ErrorBody
-}
-
-func (e *errStatus) Error() string {
-	if e.body.Error.Code != "" {
-		return fmt.Sprintf("HTTP %d: %s: %s", e.code, e.body.Error.Code, e.body.Error.Message)
-	}
-	return fmt.Sprintf("HTTP %d", e.code)
-}
-
-// do sends one request and decodes the JSON response into out (if non-nil).
-func (c *client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
-	return c.doRID(ctx, method, path, contentType, "", body, out)
-}
-
-// doRID is do with an explicit X-Request-Id. A caller-supplied ID that
-// stays constant across redeliveries of the same batch is what lets one
-// grep trace the batch through the router's failover into whichever
-// backend finally applied it.
-func (c *client) doRID(ctx context.Context, method, path, contentType, rid string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if rid != "" {
-		req.Header.Set(telemetry.RequestIDHeader, rid)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		e := &errStatus{code: resp.StatusCode}
-		json.Unmarshal(raw, &e.body)
-		return e
-	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
-	}
-	return nil
-}
-
-func (c *client) postJSON(ctx context.Context, path string, body, out any) error {
-	blob, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, http.MethodPost, path, "application/json", blob, out)
-}
-
 func collectTrace(wname string, convert bool, limit uint64) (*trace.Trace, error) {
 	w, err := repro.WorkloadByName(wname)
 	if err != nil {
@@ -255,16 +190,6 @@ func (b *batcher) next() ([]trace.Event, uint64) {
 	return events, insts
 }
 
-// encodeBatch wraps an event slice in the P64T wire format.
-func encodeBatch(events []trace.Event, insts uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	bt := &trace.Trace{Name: "batch", Insts: insts, Events: events}
-	if _, err := bt.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 type loadConfig struct {
 	sessions  int
 	events    uint64
@@ -297,7 +222,7 @@ type Report struct {
 	Verified     bool    `json:"verified,omitempty"`
 }
 
-func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*Report, error) {
+func runLoad(ctx context.Context, c *serve.Client, tr *trace.Trace, cfg loadConfig) (*Report, error) {
 	perSession := cfg.events / uint64(cfg.sessions)
 	if perSession == 0 {
 		perSession = 1
@@ -325,11 +250,11 @@ func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*
 		if !cfg.cluster {
 			return false
 		}
-		var es *errStatus
-		if !errors.As(err, &es) {
+		var ae *serve.APIError
+		if !errors.As(err, &ae) {
 			return true // transport-level failure
 		}
-		return es.code == http.StatusBadGateway || es.code == http.StatusServiceUnavailable
+		return ae.Status == http.StatusBadGateway || ae.Status == http.StatusServiceUnavailable
 	}
 
 	type workerResult struct {
@@ -365,7 +290,7 @@ func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*
 				req.ID = fmt.Sprintf("%s-%d", cfg.idPrefix, i)
 			}
 			for {
-				res.err = c.postJSON(ctx, "/v1/sessions", req, &sess)
+				sess, res.err = c.Create(ctx, req)
 				if res.err == nil || !retriable(res.err) {
 					break
 				}
@@ -381,15 +306,11 @@ func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*
 			var seq uint64
 			for res.sent < perSession {
 				events, insts := b.next()
-				blob, err := encodeBatch(events, insts)
-				if err != nil {
-					res.err = err
-					return
-				}
+				blob := serve.EncodeBatch(events, insts)
 				seq++
-				path := "/v1/sessions/" + sess.ID + "/events"
+				var sendSeq uint64
 				if cfg.cluster {
-					path = fmt.Sprintf("%s?seq=%d", path, seq)
+					sendSeq = seq
 				}
 				// One rid per batch, fixed before the retry loop: every
 				// redelivery of this batch carries the same ID.
@@ -399,13 +320,13 @@ func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*
 				}
 				for {
 					t0 := time.Now()
-					err = c.doRID(ctx, http.MethodPost, path, "application/octet-stream", rid, blob, nil)
+					_, err := c.Feed(ctx, sess.ID, blob, sendSeq, rid)
 					if err == nil {
 						res.latencies = append(res.latencies, float64(time.Since(t0).Microseconds())/1000)
 						break
 					}
-					var es *errStatus
-					if errors.As(err, &es) && es.code == http.StatusTooManyRequests {
+					var ae *serve.APIError
+					if errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests {
 						res.retries++
 						if !backoff() {
 							return
@@ -428,18 +349,18 @@ func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*
 				maybeKill()
 			}
 			if !cfg.cluster {
-				method := http.MethodDelete
 				if cfg.keep {
-					method = http.MethodGet
+					res.final, res.err = c.Get(ctx, sess.ID)
+				} else {
+					res.final, res.err = c.Delete(ctx, sess.ID)
 				}
-				res.err = c.do(ctx, method, "/v1/sessions/"+sess.ID, "", nil, &res.final)
 				return
 			}
 			// Cluster teardown is split so every step is idempotent: read
 			// the final metrics with a retriable GET, then delete, where a
 			// 404 after a redelivery means the first attempt won.
 			for {
-				res.err = c.do(ctx, http.MethodGet, "/v1/sessions/"+sess.ID, "", nil, &res.final)
+				res.final, res.err = c.Get(ctx, sess.ID)
 				if res.err == nil || !retriable(res.err) {
 					break
 				}
@@ -453,9 +374,9 @@ func runLoad(ctx context.Context, c *client, tr *trace.Trace, cfg loadConfig) (*
 			}
 			deleted := false
 			for {
-				err := c.do(ctx, http.MethodDelete, "/v1/sessions/"+sess.ID, "", nil, nil)
-				var es *errStatus
-				if err == nil || (deleted && errors.As(err, &es) && es.code == http.StatusNotFound) {
+				_, err := c.Delete(ctx, sess.ID)
+				var ae *serve.APIError
+				if err == nil || (deleted && errors.As(err, &ae) && ae.Status == http.StatusNotFound) {
 					return
 				}
 				if !retriable(err) {
@@ -565,7 +486,7 @@ func compareMetrics(got serve.MetricsJSON, want core.Metrics) error {
 // runSmoke exercises every endpoint once: listings, the full session
 // lifecycle over both wire formats with a byte-identical metrics check,
 // a sweep, and the /metrics families. Any failure is fatal.
-func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string) error {
+func runSmoke(ctx context.Context, c *serve.Client, out io.Writer, spec, wname string) error {
 	step := func(name string, err error) error {
 		if err != nil {
 			return fmt.Errorf("smoke %s: %w", name, err)
@@ -574,17 +495,18 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 		return nil
 	}
 
-	if err := step("healthz", c.do(ctx, http.MethodGet, "/healthz", "", nil, nil)); err != nil {
+	if err := step("healthz", c.Health(ctx)); err != nil {
 		return err
 	}
-	var preds serve.PredictorsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/predictors", "", nil, &preds); err == nil && len(preds.Kinds) == 0 {
+	preds, err := c.Predictors(ctx)
+	if err == nil && len(preds.Kinds) == 0 {
 		err = fmt.Errorf("no predictor kinds listed")
-		return step("predictors", err)
-	} else if err := step("predictors", err); err != nil {
+	}
+	if err := step("predictors", err); err != nil {
 		return err
 	}
-	if err := step("workloads", c.do(ctx, http.MethodGet, "/v1/workloads", "", nil, nil)); err != nil {
+	_, err = c.Workloads(ctx)
+	if err := step("workloads", err); err != nil {
 		return err
 	}
 
@@ -594,8 +516,7 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 	}
 	opts := serve.EvalOptions{SFPF: true, PGU: "all", PerBranch: true}
 
-	var sess serve.SessionJSON
-	err = c.postJSON(ctx, "/v1/sessions", serve.SessionRequest{Spec: spec, EvalOptions: opts}, &sess)
+	sess, err := c.Create(ctx, serve.SessionRequest{Spec: spec, EvalOptions: opts})
 	if err := step("create session", err); err != nil {
 		return err
 	}
@@ -606,8 +527,7 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 	for i := 0; i < cut; i++ {
 		jsonBatch.Events[i] = serve.EventToJSON(&tr.Events[i])
 	}
-	var br serve.BatchResponse
-	err = c.postJSON(ctx, "/v1/sessions/"+sess.ID+"/events", jsonBatch, &br)
+	br, err := c.FeedJSON(ctx, sess.ID, jsonBatch)
 	if err == nil && br.Events != cut {
 		err = fmt.Errorf("acked %d events, want %d", br.Events, cut)
 	}
@@ -616,11 +536,7 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 	}
 
 	// Binary batch: the rest of the trace plus the instruction credit.
-	blob, err := encodeBatch(tr.Events[cut:], tr.Insts)
-	if err == nil {
-		err = c.do(ctx, http.MethodPost, "/v1/sessions/"+sess.ID+"/events?metrics=1",
-			"application/octet-stream", blob, &br)
-	}
+	br, err = c.Feed(ctx, sess.ID, serve.EncodeBatch(tr.Events[cut:], tr.Insts), 0, "")
 	if err == nil && br.TotalEvents != uint64(len(tr.Events)) {
 		err = fmt.Errorf("session total %d events, want %d", br.TotalEvents, len(tr.Events))
 	}
@@ -628,8 +544,7 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 		return err
 	}
 
-	var got serve.SessionJSON
-	err = c.do(ctx, http.MethodGet, "/v1/sessions/"+sess.ID, "", nil, &got)
+	got, err := c.Get(ctx, sess.ID)
 	if err == nil && got.Metrics == nil {
 		err = fmt.Errorf("no metrics in session read")
 	}
@@ -637,11 +552,10 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 		return err
 	}
 
-	var sweep serve.SweepResponse
-	err = c.postJSON(ctx, "/v1/sweep", serve.SweepRequest{
+	sweep, err := c.Sweep(ctx, serve.SweepRequest{
 		Specs: []string{spec, "bimodal:10"}, Workload: wname,
 		Convert: true, EvalOptions: opts,
-	}, &sweep)
+	})
 	if err == nil {
 		if len(sweep.Rows) != 2 {
 			err = fmt.Errorf("sweep returned %d rows, want 2", len(sweep.Rows))
@@ -654,43 +568,24 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 	}
 
 	// Delete and verify the final metrics byte-identically: the session
-	// saw the whole trace once, exactly like a direct replay.
-	var final serve.SessionJSON
-	err = c.do(ctx, http.MethodDelete, "/v1/sessions/"+sess.ID, "", nil, &final)
+	// saw the whole trace once, which is one batch of the whole trace in
+	// the load run's replay.
+	final, err := c.Delete(ctx, sess.ID)
+	if err == nil && final.Metrics == nil {
+		err = fmt.Errorf("no final metrics")
+	}
 	if err == nil {
-		if final.Metrics == nil {
-			err = fmt.Errorf("no final metrics")
-		} else {
-			ecfg, cerr := opts.Config()
-			if cerr != nil {
-				err = cerr
-			} else if ecfg.Predictor, cerr = sim.NewPredictor(spec); cerr != nil {
-				err = cerr
-			} else {
-				e := core.NewEvaluator(ecfg)
-				for i := range tr.Events {
-					e.Feed(&tr.Events[i])
-				}
-				e.AddInsts(tr.Insts)
-				err = compareMetrics(*final.Metrics, e.Metrics())
-			}
+		var want core.Metrics
+		all := loadConfig{spec: spec, opts: opts, batch: len(tr.Events)}
+		if want, err = localReplay(tr, all, uint64(len(tr.Events))); err == nil {
+			err = compareMetrics(*final.Metrics, want)
 		}
 	}
 	if err := step("delete and verify", err); err != nil {
 		return err
 	}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(raw)
+	text, err := c.Metrics(ctx)
 	for _, family := range []string{
 		"bpservd_requests_total",
 		"bpservd_request_seconds_bucket",
@@ -699,9 +594,8 @@ func runSmoke(ctx context.Context, c *client, out io.Writer, spec, wname string)
 		"bpservd_sessions_live",
 		"bpservd_queue_depth",
 	} {
-		if !strings.Contains(text, family) {
+		if err == nil && !strings.Contains(text, family) {
 			err = fmt.Errorf("/metrics missing family %s", family)
-			break
 		}
 	}
 	if err := step("metrics families", err); err != nil {

@@ -4,7 +4,8 @@
 // doubling, static interleave-invariance), and the
 // cross-implementation equivalences (serialize round-trip, evaluator vs.
 // naive reference, serial vs. parallel sweep, batch feed vs. per-event
-// feed) over every built-in workload plus synthetic programs.
+// feed, and the serve-session HTTP path, driven through serve.Client)
+// over every built-in workload plus synthetic programs.
 // It exits nonzero on any divergence, making it a one-command
 // correctness gate for refactors of the simulation engine.
 //
@@ -20,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -231,12 +231,12 @@ func run(args []string, out io.Writer) error {
 }
 
 // checkServe replays one case's event stream through an in-process serve
-// session over real HTTP — create, two binary batches, delete — and
-// requires the returned metrics to be byte-identical (as canonical JSON)
-// to feeding the same events through core.Evaluator directly. It is the
-// end-to-end oracle for the prediction-as-a-service path: wire encoding,
-// handler plumbing, shard scheduling, and snapshotting must all be
-// metrics-transparent.
+// session over real HTTP with serve.Client — create, two binary batches,
+// delete — and requires the returned metrics to be byte-identical (as
+// canonical JSON) to feeding the same events through core.Evaluator
+// directly. It is the end-to-end oracle for the prediction-as-a-service
+// path: wire encoding, handler plumbing, shard scheduling, and
+// snapshotting must all be metrics-transparent.
 func checkServe(ctx context.Context, c oracle.Case) error {
 	tr, err := trace.Collect(c.Prog, c.Limit)
 	if err != nil {
@@ -273,27 +273,19 @@ func checkServe(ctx context.Context, c oracle.Case) error {
 			ResolveDelay: &resolve, PGUDelay: &pguDelay,
 		},
 	}
-	var sess serve.SessionJSON
-	if err := serveCall(ctx, ts.URL, "POST", "/v1/sessions", "application/json", mustJSON(req), &sess); err != nil {
+	api := serve.NewClient(ts.URL, ts.Client())
+	sess, err := api.Create(ctx, req)
+	if err != nil {
 		return err
 	}
 	half := len(tr.Events) / 2
-	for _, part := range []struct {
-		events []trace.Event
-		insts  uint64
-	}{{tr.Events[:half], 0}, {tr.Events[half:], tr.Insts}} {
-		var buf bytes.Buffer
-		bt := &trace.Trace{Name: "batch", Insts: part.insts, Events: part.events}
-		if _, err := bt.WriteTo(&buf); err != nil {
-			return err
-		}
-		if err := serveCall(ctx, ts.URL, "POST", "/v1/sessions/"+sess.ID+"/events",
-			"application/octet-stream", buf.Bytes(), nil); err != nil {
+	for _, batch := range [][]byte{serve.EncodeBatch(tr.Events[:half], 0), serve.EncodeBatch(tr.Events[half:], tr.Insts)} {
+		if _, err := api.Feed(ctx, sess.ID, batch, 0, ""); err != nil {
 			return err
 		}
 	}
-	var final serve.SessionJSON
-	if err := serveCall(ctx, ts.URL, "DELETE", "/v1/sessions/"+sess.ID, "", nil, &final); err != nil {
+	final, err := api.Delete(ctx, sess.ID)
+	if err != nil {
 		return err
 	}
 	if final.Metrics == nil {
@@ -305,41 +297,6 @@ func checkServe(ctx context.Context, c oracle.Case) error {
 	}
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("serve metrics diverge from direct evaluator:\nserve  %s\ndirect %s", got, want)
-	}
-	return nil
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// serveCall is a minimal HTTP helper for the serve oracle.
-func serveCall(ctx context.Context, base, method, path, contentType string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("serve: %s %s: HTTP %d: %s", method, path, resp.StatusCode, raw)
-	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
 	}
 	return nil
 }

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -41,6 +42,8 @@ import (
 type Backend struct {
 	// URL is the backend's base URL, e.g. "http://127.0.0.1:8080".
 	URL string
+
+	api *serve.Client // health checks, listings and migration
 
 	healthy  atomic.Bool
 	draining atomic.Bool
@@ -158,6 +161,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	for i, u := range cfg.Backends {
 		b := &Backend{URL: strings.TrimRight(u, "/")}
+		b.api = serve.NewClient(b.URL, rt.client)
 		b.healthy.Store(true) // optimistic until the first check
 		rt.backends = append(rt.backends, b)
 		for v := 0; v < cfg.VNodes; v++ {
@@ -294,13 +298,7 @@ func (rt *Router) healthLoop() {
 func (rt *Router) checkAll() {
 	for _, b := range rt.backends {
 		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthEvery)
-		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/healthz", nil)
-		resp, err := rt.client.Do(req)
-		ok := err == nil && resp.StatusCode == http.StatusOK
-		if resp != nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+		ok := b.api.Health(ctx) == nil
 		cancel()
 		if ok != b.healthy.Swap(ok) {
 			rt.log.Printf("backend %s health %v -> %v", b.URL, !ok, ok)
@@ -386,13 +384,12 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // serve.ErrorBody: the request ID instrument echoed onto the response
 // headers is the correlation ID every tier logs.
 func writeJSONError(w http.ResponseWriter, code int, errCode, msg string) {
-	detail := map[string]string{"code": errCode, "message": msg}
-	if rid := w.Header().Get(telemetry.RequestIDHeader); rid != "" {
-		detail["request_id"] = rid
-	}
+	body := serve.ErrorBody{Error: serve.ErrorDetail{
+		Code: errCode, Message: msg, RequestID: w.Header().Get(telemetry.RequestIDHeader),
+	}}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]map[string]string{"error": detail})
+	json.NewEncoder(w).Encode(body)
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -457,33 +454,21 @@ func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, fmt.Sprintf("any-%d", rand.Uint64()), body)
 }
 
-// handleList merges the session listings of every healthy backend.
+// handleList merges the session listings of every healthy backend. A
+// backend that fails at the transport level is marked unhealthy; one
+// that refuses is skipped.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type listResp struct {
-		Count    int               `json:"count"`
-		Sessions []json.RawMessage `json:"sessions"`
-	}
-	out := listResp{Sessions: []json.RawMessage{}}
+	out := serve.SessionList{Sessions: []serve.SessionJSON{}}
 	for _, b := range rt.backends {
 		if !b.Healthy() {
 			continue
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL+"/v1/sessions", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
+		part, err := b.api.List(r.Context())
+		var ae *serve.APIError
+		if err != nil && !errors.As(err, &ae) {
 			b.healthy.Store(false)
-			continue
 		}
-		var part listResp
-		err = json.NewDecoder(resp.Body).Decode(&part)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		out.Sessions = append(out.Sessions, part.Sessions...)
+		out.Sessions = append(out.Sessions, part...)
 	}
 	out.Count = len(out.Sessions)
 	w.Header().Set("Content-Type", "application/json")
@@ -541,17 +526,14 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // Drain migrates all sessions off b (already marked draining) to their
-// new ring owners. Returns migrated and failed counts.
+// new ring owners. Returns migrated and failed counts; each failure is
+// logged.
 func (rt *Router) Drain(ctx context.Context, b *Backend) (moved, failed int, err error) {
-	var list struct {
-		Sessions []struct {
-			ID string `json:"id"`
-		} `json:"sessions"`
-	}
-	if err := rt.getJSON(ctx, b.URL+"/v1/sessions", &list); err != nil {
+	sessions, err := b.api.List(ctx)
+	if err != nil {
 		return 0, 0, fmt.Errorf("list sessions on %s: %w", b.URL, err)
 	}
-	for _, s := range list.Sessions {
+	for _, s := range sessions {
 		if err := rt.migrate(ctx, b, s.ID); err != nil {
 			failed++
 			rt.log.Printf("migrate %s off %s: %v", s.ID, b.URL, err)
@@ -563,27 +545,12 @@ func (rt *Router) Drain(ctx context.Context, b *Backend) (moved, failed int, err
 	return moved, failed, nil
 }
 
-func (rt *Router) getJSON(ctx context.Context, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("%s: %s: %s", url, resp.Status, raw)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
 // migrate moves one session: snapshot from the old backend, restore on
 // the ring's new owner, then delete the original. A failure before the
 // delete leaves the session where it was — migration is all-or-nothing
-// per session.
+// per session. A failed delete leaves it resident on both backends (the
+// ring sends its traffic to the new owner), and is reported as a
+// failure.
 func (rt *Router) migrate(ctx context.Context, from *Backend, id string) error {
 	to := rt.pick(id, (*Backend).up)
 	if to == nil {
@@ -592,42 +559,15 @@ func (rt *Router) migrate(ctx context.Context, from *Backend, id string) error {
 	if to == from {
 		return nil // already owned correctly (shouldn't happen while draining)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, from.URL+"/v1/sessions/"+id+"/snapshot", nil)
+	blob, err := from.api.Snapshot(ctx, id)
 	if err != nil {
-		return err
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
+	if _, err := to.api.Restore(ctx, id, blob); err != nil {
+		return fmt.Errorf("restore on %s: %w", to.URL, err)
 	}
-	blob, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || readErr != nil {
-		return fmt.Errorf("snapshot: %s: %s", resp.Status, blob)
+	if _, err := from.api.Delete(ctx, id); err != nil {
+		return fmt.Errorf("delete (session now on both %s and %s): %w", from.URL, to.URL, err)
 	}
-	req, err = http.NewRequestWithContext(ctx, http.MethodPost, to.URL+"/v1/sessions/"+id+"/restore", bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err = rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("restore on %s: %s: %s", to.URL, resp.Status, raw)
-	}
-	req, err = http.NewRequestWithContext(ctx, http.MethodDelete, from.URL+"/v1/sessions/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err = rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -300,6 +301,74 @@ func TestDrainMigratesSessions(t *testing.T) {
 		}
 		// A new batch still lands (on the surviving backend).
 		feedBatch(t, c.front.URL, id, events, 2)
+	}
+}
+
+// TestDrainCountsFailedDelete: a victim that refuses the final DELETE
+// (429, as a backend with a full shard queue does) still holds each
+// session after its restore on the new owner, so the drain must report
+// every one as failed, and log it, rather than as migrated.
+func TestDrainCountsFailedDelete(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s := serve.MustNew(serve.Config{Shards: 2})
+		h := s.Handler()
+		if i == 0 {
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodDelete {
+					w.Header().Set("Content-Type", "application/json")
+					w.WriteHeader(http.StatusTooManyRequests)
+					io.WriteString(w, `{"error":{"code":"busy","message":"shard queue full"}}`)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		urls = append(urls, ts.URL)
+	}
+	var logBuf bytes.Buffer
+	rt, err := New(Config{Backends: urls, HealthEvery: time.Hour, Logger: log.New(&logBuf, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { front.Close(); rt.Close() })
+
+	victim := rt.Backends()[0]
+	var held []string
+	for i := 0; len(held) < 3; i++ {
+		id := fmt.Sprintf("stuck-%d", i)
+		createSession(t, front.URL, id)
+		if rt.pick(id, (*Backend).up) == victim {
+			held = append(held, id)
+		}
+		if i > 64 {
+			t.Fatal("ring never placed three sessions on the victim")
+		}
+	}
+
+	var res struct {
+		Migrated int `json:"migrated"`
+		Failed   int `json:"failed"`
+	}
+	doJSON(t, "POST", front.URL+"/admin/drain?backend="+victim.URL, nil, http.StatusOK, &res)
+	if res.Migrated != 0 || res.Failed != len(held) {
+		t.Fatalf("drain: %+v, want migrated=0 failed=%d", res, len(held))
+	}
+	var list struct {
+		Count int `json:"count"`
+	}
+	doJSON(t, "GET", victim.URL+"/v1/sessions", nil, http.StatusOK, &list)
+	if list.Count != len(held) {
+		t.Fatalf("victim holds %d sessions after the refused deletes, want %d", list.Count, len(held))
+	}
+	for _, id := range held {
+		if !strings.Contains(logBuf.String(), "migrate "+id+" off "+victim.URL) {
+			t.Errorf("no failure logged for %s:\n%s", id, logBuf.String())
+		}
 	}
 }
 

@@ -2,7 +2,8 @@ package router
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -123,21 +124,15 @@ func TestRouterErrorCarriesRequestID(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer func() { front.Close(); rt.Close() }()
 
-	req, _ := http.NewRequest("GET", front.URL+"/v1/sessions/ghost", nil)
-	req.Header.Set(telemetry.RequestIDHeader, "down-rid-3")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	_, err = serve.NewClient(front.URL, nil).Feed(context.Background(), "ghost", serve.EncodeBatch(nil, 0), 0, "down-rid-3")
+	var ae *serve.APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("err %v, want an *APIError", err)
 	}
-	defer resp.Body.Close()
-	var envelope serve.ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
+	if ae.Status != http.StatusServiceUnavailable || ae.Code != "no_backend" {
+		t.Fatalf("status %d, code %q; want 503 no_backend", ae.Status, ae.Code)
 	}
-	if resp.StatusCode != http.StatusServiceUnavailable || envelope.Error.Code != "no_backend" {
-		t.Fatalf("status %d, envelope %+v; want 503 no_backend", resp.StatusCode, envelope)
-	}
-	if envelope.Error.RequestID != "down-rid-3" {
-		t.Errorf("no_backend envelope request_id %q, want down-rid-3", envelope.Error.RequestID)
+	if ae.RequestID != "down-rid-3" {
+		t.Errorf("no_backend envelope request_id %q, want down-rid-3", ae.RequestID)
 	}
 }

@@ -87,6 +87,13 @@ func sessionJSON(inf *SessionInfo, withMetrics bool) SessionJSON {
 	return out
 }
 
+// SessionList is the session listing (GET /v1/sessions); listed
+// sessions carry no metrics.
+type SessionList struct {
+	Count    int           `json:"count"`
+	Sessions []SessionJSON `json:"sessions"`
+}
+
 // EventJSON is the wire form of one trace event.
 type EventJSON struct {
 	Kind string `json:"kind"` // "branch" | "preddef"

@@ -304,10 +304,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 		writeMgrError(w, s, err)
 		return
 	}
-	out := struct {
-		Count    int           `json:"count"`
-		Sessions []SessionJSON `json:"sessions"`
-	}{Count: len(infos), Sessions: make([]SessionJSON, 0, len(infos))}
+	out := SessionList{Count: len(infos), Sessions: make([]SessionJSON, 0, len(infos))}
 	for _, inf := range infos {
 		out.Sessions = append(out.Sessions, sessionJSON(inf, false))
 	}
