@@ -190,8 +190,18 @@ echo "== cluster smoke =="
 #     router for a kept session;
 #   - bptop -once renders a fleet frame against both live tiers, which
 #     also holds each /metrics page to the strict exposition lint.
+# On a failure the logs are printed before the cleanup deletes them, so
+# a failed check can be traced to the tier that dropped the request.
 clusterdir=$(mktemp -d)
-trap 'rm -rf "$smokedir" "$clusterdir"
+trap 'status=$?
+      if [ "$status" -ne 0 ]; then
+          for f in rt.log b1.log b2.log; do
+              [ -f "$clusterdir/$f" ] || continue
+              echo "--- last 40 lines of $f ---" >&2
+              tail -n 40 "$clusterdir/$f" >&2
+          done
+      fi
+      rm -rf "$smokedir" "$clusterdir"
       kill "$servepid" "$b1pid" "$b2pid" "$rtpid" 2>/dev/null || true' EXIT
 go build -o "$clusterdir" ./cmd/bprouter ./cmd/bptop
 mkdir "$clusterdir/spill"

@@ -448,9 +448,9 @@ func benchServe(spec sim.Spec, window []trace.Event, minTime time.Duration) (Res
 }
 
 // benchServeMulti drives the HTTP feed path with several concurrent
-// sessions, the workload the shard scheduling pass exists for: while one
-// batch is being fed, the others' requests queue on the shards, so each
-// worker wakeup drains and groups several batches. Unlike the serial
+// clients, one session each: while one batch is being fed, the others'
+// requests queue on the shards. Each client keeps one batch in flight,
+// so no shard ever holds two batches for one session. Unlike the serial
 // benchmark's best-chunk rate, the result is the whole-run aggregate
 // rate — the number a fleet operator would see.
 func benchServeMulti(spec sim.Spec, window []trace.Event, minTime time.Duration) (Result, error) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -477,9 +478,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// handleMetricsPage renders the registry. Renders are serialized so each
+// sweeps the shards for its H2P ranking exactly once; the page is built
+// in memory so a slow reader does not hold up the next scrape.
 func (s *Server) handleMetricsPage(w http.ResponseWriter, _ *http.Request) {
+	var page bytes.Buffer
+	s.scrapeMu.Lock()
+	s.h2p = s.mgr.H2PTop(h2pTopK)
+	s.tel.reg.Render(&page)
+	s.scrapeMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.tel.reg.Render(w)
+	w.Write(page.Bytes())
 }
 
 // sweepChunk is how many events a sweep evaluation feeds between

@@ -42,8 +42,7 @@ type serverMetrics struct {
 	spillErrors     *telemetry.Counter
 	sweeps          *telemetry.Counter
 	sweepEvals      *telemetry.Counter
-	schedPasses     *telemetry.Counter
-	schedGrouped    *telemetry.Counter
+	opsExecuted     *telemetry.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -65,8 +64,7 @@ func newServerMetrics() *serverMetrics {
 	m.spillErrors = reg.Counter("bpservd_spill_errors_total", "Failed attempts to write a session snapshot to the spill directory.")
 	m.sweeps = reg.Counter("bpservd_sweeps_total", "Sweep requests executed.")
 	m.sweepEvals = reg.Counter("bpservd_sweep_evals_total", "Individual spec evaluations across sweeps.")
-	m.schedPasses = reg.Counter("bpservd_sched_passes_total", "Shard scheduling passes (wakeups that executed at least one op).")
-	m.schedGrouped = reg.Counter("bpservd_sched_grouped_batches_total", "Feed batches that ran grouped with at least one other batch for the same session in a single scheduling pass.")
+	m.opsExecuted = reg.Counter("bpservd_sched_passes_total", "Shard ops executed.")
 	telemetry.RegisterBuildInfo(reg, buildinfo.Version(), buildinfo.Revision())
 	return m
 }

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -150,6 +151,11 @@ type Server struct {
 	// before the fan-out starts. Tests set it to wait for the context,
 	// which makes the deadline path deterministic however fast the sweep.
 	sweepHold func(ctx context.Context)
+
+	// scrapeMu serializes /metrics renders. h2p is the render's one
+	// hardest-branch ranking, which both bpservd_h2p_* families emit.
+	scrapeMu sync.Mutex
+	h2p      []core.BranchStats
 }
 
 // h2pTopK is how many hardest branches the aggregate bpservd_h2p_*
@@ -195,19 +201,19 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	// The H2P families rank the hardest branches across every resident
-	// session at scrape time (each collect runs its own shard sweep, so
-	// the two families may lag each other by in-flight batches).
+	// session; both read the one ranking handleMetricsPage sweeps per
+	// render, so they always name the same PCs.
 	tel.reg.GaugeVec("bpservd_h2p_events",
 		"Executions of the hardest-to-predict branches across resident sessions (top ranked by mispredictions).",
 		[]string{"pc"}, func(emit func([]string, float64)) {
-			for _, bs := range s.mgr.H2PTop(h2pTopK) {
+			for _, bs := range s.h2p {
 				emit([]string{fmt.Sprintf("0x%x", bs.PC)}, float64(bs.Count))
 			}
 		})
 	tel.reg.GaugeVec("bpservd_h2p_mispredicts",
 		"Mispredictions of the hardest-to-predict branches across resident sessions (top ranked by mispredictions).",
 		[]string{"pc"}, func(emit func([]string, float64)) {
-			for _, bs := range s.mgr.H2PTop(h2pTopK) {
+			for _, bs := range s.h2p {
 				emit([]string{fmt.Sprintf("0x%x", bs.PC)}, float64(bs.Mispredicts))
 			}
 		})

@@ -95,43 +95,20 @@ func (s *session) info(withMetrics bool) *SessionInfo {
 	return inf
 }
 
-// shardOp is one unit of queued shard work. Exactly one field is set:
-// fn for control-plane ops (create, delete, metrics, snapshot, ...),
-// feed for event batches. Feeds carry their request as data rather than
-// a closure so the scheduling pass can see across them and group
-// same-session batches; fn ops are opaque and act as barriers.
-type shardOp struct {
-	fn   func()
-	feed *feedReq
-}
-
-// feedReq is one queued event batch, the data previously captured by the
-// Feed op closure.
-type feedReq struct {
-	id          string
-	events      []trace.Event
-	insts       uint64
-	seq         uint64
-	withMetrics bool
-	reply       chan sessionReply
-}
-
 // shard owns a partition of the session table. All mutation happens on
-// the shard's run goroutine, which drains the queue in scheduling
-// passes: single-writer ownership means the event-feed hot path takes no
-// locks, and batches queued for the same hot session during one wakeup
-// are fed back to back while the predictor's tables are cache-resident.
+// the shard's run goroutine, which executes queued ops one at a time in
+// arrival order: single-writer ownership means the event-feed hot path
+// takes no locks.
 type shard struct {
 	mgr *sessionManager
 
-	ops  chan shardOp
+	ops  chan func()
 	quit chan struct{}
 
 	// Owned by the run goroutine.
 	sessions map[string]*session
 	lru      *list.List // front = most recently used
 	bytes    int64
-	passBuf  []shardOp // reused per-pass drain buffer
 
 	maxSessions int
 	maxBytes    int64
@@ -144,7 +121,7 @@ func (sh *shard) run(ttl, sweepEvery time.Duration) {
 	for {
 		select {
 		case op := <-sh.ops:
-			sh.pass(op)
+			sh.exec(op)
 		case <-ticker.C:
 			if ttl > 0 {
 				sh.expire(sh.mgr.now())
@@ -156,7 +133,7 @@ func (sh *shard) run(ttl, sweepEvery time.Duration) {
 			for {
 				select {
 				case op := <-sh.ops:
-					sh.pass(op)
+					sh.exec(op)
 				default:
 					return
 				}
@@ -165,133 +142,53 @@ func (sh *shard) run(ttl, sweepEvery time.Duration) {
 	}
 }
 
-// pass executes one scheduling pass: the op that woke the shard plus
-// everything else already queued. Ops run in arrival order, with one
-// exception that preserves observable semantics: a contiguous run of
-// feed ops is grouped by session, so n batches queued for one session
-// execute as a single lookup and seq walk instead of n independent
-// dispatches. fn ops are barriers — grouping never reorders a feed across
-// a create/delete/snapshot — and per-session feed order is arrival order,
-// so sequence semantics are unchanged.
-func (sh *shard) pass(first shardOp) {
-	ops := append(sh.passBuf[:0], first)
-drain:
-	for {
-		select {
-		case op := <-sh.ops:
-			ops = append(ops, op)
-		default:
-			break drain
-		}
-	}
-	sh.mgr.tel.schedPasses.Inc()
-	for i := 0; i < len(ops); {
-		if ops[i].fn != nil {
-			ops[i].fn()
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(ops) && ops[j].feed != nil {
-			j++
-		}
-		sh.feedRun(ops[i:j])
-		i = j
-	}
-	// The buffer holds reply channels and event slices; clear before
-	// reuse so a quiet shard doesn't pin a past pass's batches live.
-	clear(ops)
-	sh.passBuf = ops[:0]
+// exec runs one queued op; bpservd_sched_passes_total counts them.
+func (sh *shard) exec(op func()) {
+	sh.mgr.tel.opsExecuted.Inc()
+	op()
 }
 
-// feedRun executes one contiguous run of feed ops, grouping them by
-// session. First-appearance order decides session order; within a
-// session, arrival order is preserved.
-func (sh *shard) feedRun(run []shardOp) {
-	var one [1]*feedReq
-	if len(run) == 1 {
-		// The common serial-client case: one queued batch, no grouping
-		// bookkeeping.
-		one[0] = run[0].feed
-		sh.feedSession(run[0].feed.id, one[:])
-		sh.makeRoom(sh.mgr.now(), 0)
-		return
-	}
-	var group []*feedReq
-	for i := range run {
-		if run[i].feed == nil {
-			continue // already claimed by an earlier session group
-		}
-		id := run[i].feed.id
-		group = append(group[:0], run[i].feed)
-		for j := i + 1; j < len(run); j++ {
-			if run[j].feed != nil && run[j].feed.id == id {
-				group = append(group, run[j].feed)
-				run[j].feed = nil
-			}
-		}
-		if len(group) > 1 {
-			sh.mgr.tel.schedGrouped.Add(uint64(len(group)))
-		}
-		sh.feedSession(id, group)
-	}
-	sh.makeRoom(sh.mgr.now(), 0)
-}
-
-// feedSession applies a session's grouped feed requests in arrival
-// order. Each accepted batch is fed through one FeedBatch call and
-// acknowledged right after, so an acked batch is always applied state.
-func (sh *shard) feedSession(id string, group []*feedReq) {
-	// The clock is read per session group, not per pass: a session touched
-	// by an earlier group in this pass must look idle to a later group's
-	// warm restore, or makeRoom under a full table would refuse to evict it
-	// and the restore — and the feed behind it — would fail spuriously.
+// feed applies one event batch to a session and acknowledges it, so an
+// acked batch is always applied state. Sequence-numbered batches are
+// exactly-once: a seq at or below the last applied one is a retry of
+// work already done (common after a failover, when the client re-sends
+// an acked batch) and is acknowledged without re-feeding; a seq that
+// skips ahead means a batch was lost and the stream cannot be applied
+// faithfully. A found session counts as used and is re-sized whatever
+// its batch's fate, and every feed ends by bringing the shard back
+// within its bounds.
+func (sh *shard) feed(id string, events []trace.Event, insts, seq uint64, withMetrics bool) (FeedResult, error) {
+	defer func() { sh.makeRoom(sh.mgr.now(), 0) }()
 	now := sh.mgr.now()
 	s, ok := sh.lookup(id, now)
 	if !ok {
-		for _, r := range group {
-			r.reply <- sessionReply{err: ErrNotFound}
-		}
-		return
+		return FeedResult{}, ErrNotFound
 	}
-	for _, r := range group {
-		// Sequence-numbered batches are exactly-once: a seq at or below
-		// the last applied one is a retry of work already done (common
-		// after a failover, when the client re-sends an acked batch) and
-		// is acknowledged without re-feeding; a seq that skips ahead means
-		// a batch was lost and the stream cannot be applied faithfully.
-		if r.seq > 0 && s.lastSeq > 0 {
-			if r.seq <= s.lastSeq {
-				res := FeedResult{Events: len(r.events), TotalEvents: s.events, Duplicate: true}
-				if r.withMetrics {
-					res.Info = s.info(true)
-				}
-				r.reply <- sessionReply{feed: res}
-				continue
-			}
-			if r.seq != s.lastSeq+1 {
-				r.reply <- sessionReply{err: fmt.Errorf("%w: batch seq %d after %d", ErrSeqGap, r.seq, s.lastSeq)}
-				continue
-			}
+	defer func() {
+		sh.touch(s, now)
+		sh.setBytes(s, s.specBytes+int64(len(s.eval.Metrics().ByPC))*96)
+	}()
+	dup := seq > 0 && seq <= s.lastSeq
+	if !dup {
+		if seq > 0 && s.lastSeq > 0 && seq != s.lastSeq+1 {
+			return FeedResult{}, fmt.Errorf("%w: batch seq %d after %d", ErrSeqGap, seq, s.lastSeq)
 		}
-		if r.seq > 0 {
-			s.lastSeq = r.seq
+		if seq > 0 {
+			s.lastSeq = seq
 		}
 		// The hot path: one goroutine, no locks.
-		s.eval.FeedBatch(r.events)
-		s.eval.AddInsts(r.insts)
-		s.events += uint64(len(r.events))
+		s.eval.FeedBatch(events)
+		s.eval.AddInsts(insts)
+		s.events += uint64(len(events))
 		s.batches++
-		sh.mgr.tel.events.Add(uint64(len(r.events)))
+		sh.mgr.tel.events.Add(uint64(len(events)))
 		sh.mgr.tel.batches.Inc()
-		res := FeedResult{Events: len(r.events), TotalEvents: s.events}
-		if r.withMetrics {
-			res.Info = s.info(true)
-		}
-		r.reply <- sessionReply{feed: res}
 	}
-	sh.touch(s, now)
-	sh.setBytes(s, s.specBytes+int64(len(s.eval.Metrics().ByPC))*96)
+	res := FeedResult{Events: len(events), TotalEvents: s.events, Duplicate: dup}
+	if withMetrics {
+		res.Info = s.info(true)
+	}
+	return res, nil
 }
 
 // insert adds a newly built session, accounted at its spec estimate.
@@ -479,7 +376,7 @@ func newSessionManager(cfg Config, tel *serverMetrics, spill *spillStore) *sessi
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			mgr:         m,
-			ops:         make(chan shardOp, cfg.QueueDepth),
+			ops:         make(chan func(), cfg.QueueDepth),
 			quit:        make(chan struct{}),
 			sessions:    make(map[string]*session),
 			lru:         list.New(),
@@ -506,7 +403,7 @@ func (m *sessionManager) shardFor(id string) *shard {
 // enqueue submits an op to a shard. Blocking ops wait for queue space
 // (bounded by ctx); batch ops instead fail fast with ErrBusy when the
 // queue is full — the HTTP layer turns that into 429 backpressure.
-func (m *sessionManager) enqueue(ctx context.Context, sh *shard, op shardOp, block bool) error {
+func (m *sessionManager) enqueue(ctx context.Context, sh *shard, op func(), block bool) error {
 	if m.closed.Load() {
 		return ErrClosing
 	}
@@ -528,28 +425,52 @@ func (m *sessionManager) enqueue(ctx context.Context, sh *shard, op shardOp, blo
 	}
 }
 
-type sessionReply struct {
-	info *SessionInfo
-	feed FeedResult
-	err  error
-}
-
-func (m *sessionManager) wait(ctx context.Context, reply <-chan sessionReply) (sessionReply, error) {
+// do runs f on the shard's goroutine and returns its outcome: every
+// session-manager call is one do. A context error means f may still be
+// queued and run later.
+func do[T any](ctx context.Context, m *sessionManager, sh *shard, block bool, f func() (T, error)) (T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	reply := make(chan result, 1)
+	var zero T
+	if err := m.enqueue(ctx, sh, func() {
+		v, err := f()
+		reply <- result{v, err}
+	}, block); err != nil {
+		return zero, err
+	}
 	select {
 	case r := <-reply:
-		return r, r.err
+		return r.v, r.err
 	case <-ctx.Done():
-		return sessionReply{}, ctx.Err()
+		return zero, ctx.Err()
 	case <-m.done:
 		// All workers have exited, so no op is mid-run: either ours ran
 		// before the drain finished (reply is ready) or it never will.
 		select {
 		case r := <-reply:
-			return r, r.err
+			return r.v, r.err
 		default:
-			return sessionReply{}, ErrClosing
+			return zero, ErrClosing
 		}
 	}
+}
+
+// onSession runs f on session id's shard goroutine, warm-restoring the
+// session from the spill store if it is not resident; ErrNotFound if it
+// exists in neither.
+func onSession[T any](ctx context.Context, m *sessionManager, id string, f func(*shard, *session) (T, error)) (T, error) {
+	sh := m.shardFor(id)
+	return do(ctx, m, sh, true, func() (T, error) {
+		s, ok := sh.lookup(id, m.now())
+		if !ok {
+			var zero T
+			return zero, ErrNotFound
+		}
+		return f(sh, s)
+	})
 }
 
 // Create builds a session for the spec/config and returns its info. The
@@ -580,37 +501,30 @@ func (m *sessionManager) Create(ctx context.Context, id string, spec sim.Spec, c
 // and the slice must be considered retained.
 func (m *sessionManager) Feed(ctx context.Context, id string, events []trace.Event, insts uint64, seq uint64, withMetrics bool) (FeedResult, error) {
 	sh := m.shardFor(id)
-	reply := make(chan sessionReply, 1)
-	req := &feedReq{
-		id: id, events: events, insts: insts, seq: seq,
-		withMetrics: withMetrics, reply: reply,
-	}
-	if err := m.enqueue(ctx, sh, shardOp{feed: req}, false); err != nil {
-		return FeedResult{}, err
-	}
-	r, err := m.wait(ctx, reply)
-	return r.feed, err
+	return do(ctx, m, sh, false, func() (FeedResult, error) {
+		return sh.feed(id, events, insts, seq, withMetrics)
+	})
 }
 
 // Metrics returns a snapshot of the session's metrics; it counts as a use
 // for LRU/TTL purposes, so polled sessions stay live.
 func (m *sessionManager) Metrics(ctx context.Context, id string) (*SessionInfo, error) {
-	return m.sessionOp(ctx, id, func(sh *shard, s *session) *SessionInfo {
+	return onSession(ctx, m, id, func(sh *shard, s *session) (*SessionInfo, error) {
 		sh.touch(s, m.now())
-		return s.info(true)
+		return s.info(true), nil
 	})
 }
 
 // Delete closes a session and returns its final metrics. Any spill file
 // is removed too: a deleted session is gone, not demoted.
 func (m *sessionManager) Delete(ctx context.Context, id string) (*SessionInfo, error) {
-	return m.sessionOp(ctx, id, func(sh *shard, s *session) *SessionInfo {
+	return onSession(ctx, m, id, func(sh *shard, s *session) (*SessionInfo, error) {
 		inf := s.info(true)
 		sh.remove(s, m.tel.sessClosed)
 		if m.spill != nil {
 			m.spill.remove(id)
 		}
-		return inf
+		return inf, nil
 	})
 }
 
@@ -618,25 +532,12 @@ func (m *sessionManager) Delete(ctx context.Context, id string) (*SessionInfo, e
 // it. The returned bytes are a self-contained snap.Encode blob; the
 // bprouter migrates sessions between backends with it.
 func (m *sessionManager) Snapshot(ctx context.Context, id string) ([]byte, error) {
-	var blob []byte
-	_, err := m.sessionOp(ctx, id, func(sh *shard, s *session) *SessionInfo {
+	return onSession(ctx, m, id, func(sh *shard, s *session) ([]byte, error) {
 		sh.touch(s, m.now())
-		var encErr error
-		blob, encErr = snap.Encode(s.spec, s.eval, snap.Meta{
+		return snap.Encode(s.spec, s.eval, snap.Meta{
 			SessionID: s.id, Events: s.events, Batches: s.batches, LastSeq: s.lastSeq,
 		})
-		if encErr != nil {
-			return nil // surfaces below as an internal error
-		}
-		return s.info(false)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if blob == nil {
-		return nil, errors.New("serve: snapshot encoding failed")
-	}
-	return blob, nil
 }
 
 // Restore installs an already decoded snapshot as a session. The target
@@ -664,47 +565,21 @@ func (m *sessionManager) Restore(ctx context.Context, id string, res *snap.Resto
 // fails with ErrFull.
 func (m *sessionManager) install(ctx context.Context, s *session, checkID bool) (*SessionInfo, error) {
 	sh := m.shardFor(s.id)
-	reply := make(chan sessionReply, 1)
-	op := func() {
+	return do(ctx, m, sh, true, func() (*SessionInfo, error) {
 		if checkID {
 			if _, ok := sh.sessions[s.id]; ok || (m.spill != nil && m.spill.has(s.id)) {
-				reply <- sessionReply{err: ErrExists}
-				return
+				return nil, ErrExists
 			}
 		}
 		now := m.now()
 		if !sh.makeRoom(now, 1) {
-			reply <- sessionReply{err: ErrFull}
-			return
+			return nil, ErrFull
 		}
 		s.created, s.last = now, now
 		sh.insert(s)
 		m.tel.sessCreated.Inc()
-		reply <- sessionReply{info: s.info(false)}
-	}
-	if err := m.enqueue(ctx, sh, shardOp{fn: op}, true); err != nil {
-		return nil, err
-	}
-	r, err := m.wait(ctx, reply)
-	return r.info, err
-}
-
-func (m *sessionManager) sessionOp(ctx context.Context, id string, fn func(*shard, *session) *SessionInfo) (*SessionInfo, error) {
-	sh := m.shardFor(id)
-	reply := make(chan sessionReply, 1)
-	op := func() {
-		s, ok := sh.lookup(id, m.now())
-		if !ok {
-			reply <- sessionReply{err: ErrNotFound}
-			return
-		}
-		reply <- sessionReply{info: fn(sh, s)}
-	}
-	if err := m.enqueue(ctx, sh, shardOp{fn: op}, true); err != nil {
-		return nil, err
-	}
-	r, err := m.wait(ctx, reply)
-	return r.info, err
+		return s.info(false), nil
+	})
 }
 
 // Stats builds a session's per-branch introspection report: totals plus
@@ -713,16 +588,17 @@ func (m *sessionManager) sessionOp(ctx context.Context, id string, fn func(*shar
 // without per_branch returns an empty report, not an error). Reading
 // stats counts as a use for LRU/TTL purposes.
 func (m *sessionManager) Stats(ctx context.Context, id string, k int) (*SessionInfo, core.BranchReport, bool, error) {
-	var rep core.BranchReport
-	var perBranch bool
-	inf, err := m.sessionOp(ctx, id, func(sh *shard, s *session) *SessionInfo {
+	type stats struct {
+		inf       *SessionInfo
+		rep       core.BranchReport
+		perBranch bool
+	}
+	st, err := onSession(ctx, m, id, func(sh *shard, s *session) (stats, error) {
 		sh.touch(s, m.now())
 		mt := s.eval.Metrics()
-		rep = mt.BranchReport(k)
-		perBranch = s.eval.Config().PerBranch
-		return s.info(false)
+		return stats{s.info(false), mt.BranchReport(k), s.eval.Config().PerBranch}, nil
 	})
-	return inf, rep, perBranch, err
+	return st.inf, st.rep, st.perBranch, err
 }
 
 // h2pTimeout bounds the shard sweep behind the aggregate H2P metric
@@ -739,70 +615,54 @@ func (m *sessionManager) H2PTop(k int) []core.BranchStats {
 	ctx, cancel := context.WithTimeout(context.Background(), h2pTimeout)
 	defer cancel()
 	for _, sh := range m.shards {
-		reply := make(chan map[uint64]core.BranchStats, 1)
-		op := func() {
-			part := make(map[uint64]core.BranchStats)
+		// The shard's goroutine copies its sessions' stats into a fresh
+		// map: the live ByPC maps are never read off that goroutine.
+		part, err := do(ctx, m, sh, true, func() (map[uint64]*core.BranchStats, error) {
+			part := make(map[uint64]*core.BranchStats)
 			for _, s := range sh.sessions {
-				for pc, bs := range s.eval.Metrics().ByPC {
-					e := part[pc]
-					e.PC = pc
-					e.Count += bs.Count
-					e.Taken += bs.Taken
-					e.Mispredicts += bs.Mispredicts
-					e.Filtered += bs.Filtered
-					e.Region = e.Region || bs.Region
-					part[pc] = e
-				}
+				addBranches(part, s.eval.Metrics().ByPC)
 			}
-			reply <- part
-		}
-		if err := m.enqueue(ctx, sh, shardOp{fn: op}, true); err != nil {
-			continue
-		}
-		select {
-		case part := <-reply:
-			for pc, e := range part {
-				a := agg[pc]
-				if a == nil {
-					a = &core.BranchStats{PC: pc}
-					agg[pc] = a
-				}
-				a.Count += e.Count
-				a.Taken += e.Taken
-				a.Mispredicts += e.Mispredicts
-				a.Filtered += e.Filtered
-				a.Region = a.Region || e.Region
-			}
-		case <-ctx.Done():
-		case <-m.done:
+			return part, nil
+		})
+		if err == nil {
+			addBranches(agg, part)
 		}
 	}
 	rep := (&core.Metrics{ByPC: agg}).BranchReport(k)
 	return rep.Top
 }
 
+// addBranches adds src's per-branch statistics into dst, PC by PC.
+func addBranches(dst, src map[uint64]*core.BranchStats) {
+	for pc, bs := range src {
+		a := dst[pc]
+		if a == nil {
+			a = &core.BranchStats{PC: pc}
+			dst[pc] = a
+		}
+		a.Count += bs.Count
+		a.Taken += bs.Taken
+		a.Mispredicts += bs.Mispredicts
+		a.Filtered += bs.Filtered
+		a.Region = a.Region || bs.Region
+	}
+}
+
 // List returns summaries (no per-branch maps) of every live session.
 func (m *sessionManager) List(ctx context.Context) ([]*SessionInfo, error) {
 	var out []*SessionInfo
 	for _, sh := range m.shards {
-		sh := sh
-		reply := make(chan []*SessionInfo, 1)
-		op := func() {
+		batch, err := do(ctx, m, sh, true, func() ([]*SessionInfo, error) {
 			var batch []*SessionInfo
 			for e := sh.lru.Front(); e != nil; e = e.Next() {
 				batch = append(batch, e.Value.(*session).info(false))
 			}
-			reply <- batch
-		}
-		if err := m.enqueue(ctx, sh, shardOp{fn: op}, true); err != nil {
+			return batch, nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		select {
-		case batch := <-reply:
-			out = append(out, batch...)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		out = append(out, batch...)
 	}
 	return out, nil
 }
@@ -852,7 +712,7 @@ func (m *sessionManager) Close() int64 {
 // spec: the dominant cost is the counter/weight tables, approximated as
 // two bytes per table entry. Per-branch stat maps are added as they grow.
 func specBytes(s sim.Spec) int64 {
-	n, err := sim.Parse(s.String()) // normalizes defaulted parameters
+	n, err := s.Normalized()
 	if err != nil {
 		return 1024
 	}

@@ -260,14 +260,14 @@ func TestFeedBackpressure(t *testing.T) {
 	sh := s.mgr.shards[0]
 
 	gate := make(chan struct{})
-	if err := s.mgr.enqueue(ctx, sh, shardOp{fn: func() { <-gate }}, true); err != nil {
+	if err := s.mgr.enqueue(ctx, sh, func() { <-gate }, true); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the worker to pick the gate op up, then fill the queue.
 	for len(sh.ops) != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.mgr.enqueue(ctx, sh, shardOp{fn: func() {}}, true); err != nil {
+	if err := s.mgr.enqueue(ctx, sh, func() {}, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,13 +303,13 @@ func TestBlockingOpsHonorContext(t *testing.T) {
 
 	gate := make(chan struct{})
 	defer close(gate)
-	if err := s.mgr.enqueue(context.Background(), sh, shardOp{fn: func() { <-gate }}, true); err != nil {
+	if err := s.mgr.enqueue(context.Background(), sh, func() { <-gate }, true); err != nil {
 		t.Fatal(err)
 	}
 	for len(sh.ops) != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.mgr.enqueue(context.Background(), sh, shardOp{fn: func() {}}, true); err != nil {
+	if err := s.mgr.enqueue(context.Background(), sh, func() {}, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,12 +341,13 @@ func TestNewIDUnique(t *testing.T) {
 	}
 }
 
-// TestSchedulingPassGroupsSessionBatches pins the cross-session
-// scheduling pass directly: with the shard worker held at a barrier,
-// several batches for two sessions queue up, and releasing the barrier
-// must apply them all in one pass — the per-session groups counted by
-// the sched_grouped counter — with results identical to serial feeding.
-func TestSchedulingPassGroupsSessionBatches(t *testing.T) {
+// TestQueuedBatchesApplyInArrivalOrder holds the shard worker at a
+// barrier while seq'd batches for two sessions queue up behind it in a
+// known order, then releases it: in-order seqs apply, a re-sent seq is
+// acked as a duplicate without being re-fed, a skipped seq answers
+// ErrSeqGap and leaves the session where it was, and both sessions end
+// identical to a direct replay of the batches they applied.
+func TestQueuedBatchesApplyInArrivalOrder(t *testing.T) {
 	s := MustNew(Config{Shards: 1, QueueDepth: 64})
 	defer s.Close()
 	ctx := context.Background()
@@ -354,84 +355,106 @@ func TestSchedulingPassGroupsSessionBatches(t *testing.T) {
 	if len(batch) > 300 {
 		batch = batch[:300]
 	}
+	n := uint64(len(batch))
 
 	idA := mgrSession(t, s, "gshare:12:8")
 	idB := mgrSession(t, s, "bimodal:12")
 	sh := s.mgr.shardFor(idA) // one shard, so idB lives here too
 
-	// Hold the worker inside a pass so the feeds below pile up in the
-	// queue and the next pass sees them all at once.
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if err := s.mgr.enqueue(ctx, sh, shardOp{fn: func() { close(blocked); <-release }}, true); err != nil {
+	if err := s.mgr.enqueue(ctx, sh, func() { close(blocked); <-release }, true); err != nil {
 		t.Fatal(err)
 	}
 	<-blocked
-	before := s.tel.schedGrouped.Value()
 
-	const feedsA, feedsB = 3, 2
-	var wg sync.WaitGroup
-	errs := make(chan error, feedsA+feedsB)
-	feed := func(id string) {
-		defer wg.Done()
-		res, err := s.mgr.Feed(ctx, id, append([]trace.Event(nil), batch...), 0, 0, false)
-		if err == nil && res.Events != len(batch) {
-			err = fmt.Errorf("ack for %d events, sent %d", res.Events, len(batch))
-		}
-		if err != nil {
-			errs <- err
-		}
+	feeds := []struct {
+		id   string
+		seq  uint64
+		want func(feedOutcome) error
+	}{
+		{idA, 1, wantApplied(1 * n)},
+		{idB, 1, wantApplied(1 * n)},
+		{idA, 2, wantApplied(2 * n)},
+		{idA, 2, func(r feedOutcome) error { // a retry of an applied batch
+			if r.err != nil || !r.res.Duplicate || r.res.TotalEvents != 2*n {
+				return fmt.Errorf("re-sent seq: %+v, %v; want a duplicate ack at %d events", r.res, r.err, 2*n)
+			}
+			return nil
+		}},
+		{idB, 3, func(r feedOutcome) error { // seq 2 never arrived
+			if !errors.Is(r.err, ErrSeqGap) {
+				return fmt.Errorf("skipped seq: err = %v, want ErrSeqGap", r.err)
+			}
+			return nil
+		}},
+		{idA, 3, wantApplied(3 * n)},
+		{idB, 2, wantApplied(2 * n)},
 	}
-	for i := 0; i < feedsA; i++ {
-		wg.Add(1)
-		go feed(idA)
-	}
-	for i := 0; i < feedsB; i++ {
-		wg.Add(1)
-		go feed(idB)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.mgr.QueueDepth() < feedsA+feedsB {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d feeds queued behind the barrier", s.mgr.QueueDepth(), feedsA+feedsB)
+	results := make([]chan feedOutcome, len(feeds))
+	for i, f := range feeds {
+		results[i] = make(chan feedOutcome, 1)
+		go func() {
+			res, err := s.mgr.Feed(ctx, f.id, append([]trace.Event(nil), batch...), 0, f.seq, false)
+			results[i] <- feedOutcome{res, err}
+		}()
+		// Enqueue one at a time, so queue order is the table's order.
+		deadline := time.Now().Add(5 * time.Second)
+		for s.mgr.QueueDepth() < i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("feed %d never queued behind the barrier", i)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for i, f := range feeds {
+		if err := f.want(<-results[i]); err != nil {
+			t.Errorf("feed %d (seq %d): %v", i, f.seq, err)
+		}
 	}
 
-	// All five batches formed one contiguous feed run: a group of 3 for
-	// session A and a group of 2 for session B.
-	if got := s.tel.schedGrouped.Value() - before; got != feedsA+feedsB {
-		t.Errorf("sched_grouped advanced by %d, want %d", got, feedsA+feedsB)
-	}
 	for _, c := range []struct {
 		id    string
 		spec  string
 		feeds int
-	}{{idA, "gshare:12:8", feedsA}, {idB, "bimodal:12", feedsB}} {
+	}{{idA, "gshare:12:8", 3}, {idB, "bimodal:12", 2}} {
 		info, err := s.mgr.Metrics(ctx, c.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Events != uint64(c.feeds*len(batch)) {
-			t.Errorf("%s: %d events accounted, want %d", c.spec, info.Events, c.feeds*len(batch))
+		if info.Events != uint64(c.feeds)*n || info.Batches != uint64(c.feeds) || info.LastSeq != uint64(c.feeds) {
+			t.Errorf("%s: %d events, %d batches, last seq %d; want %d, %d, %d",
+				c.spec, info.Events, info.Batches, info.LastSeq, uint64(c.feeds)*n, c.feeds, c.feeds)
 		}
 		want := directMetrics(t, &trace.Trace{Events: batch}, c.spec, testEvalOptions(), c.feeds)
 		if !reflect.DeepEqual(info.Metrics, want) {
-			t.Errorf("%s: grouped-feed metrics diverge from direct replay", c.spec)
+			t.Errorf("%s: queued-feed metrics diverge from direct replay", c.spec)
 		}
 	}
 }
 
-// TestFeedSessionAllocs is the serve path's allocation gate: applying an
-// 8-batch group for one session — seq walk, feed, accounting, replies —
-// allocates nothing once the session is warm. It runs on the shard
-// goroutine, which owns the session table.
+// feedOutcome is what one sessionManager.Feed call returned.
+type feedOutcome struct {
+	res FeedResult
+	err error
+}
+
+// wantApplied checks a feed outcome is a fresh (not duplicate) ack that
+// brings the session to total events.
+func wantApplied(total uint64) func(feedOutcome) error {
+	return func(r feedOutcome) error {
+		if r.err != nil || r.res.Duplicate || r.res.TotalEvents != total {
+			return fmt.Errorf("got %+v, %v; want an applied batch at %d events", r.res, r.err, total)
+		}
+		return nil
+	}
+}
+
+// TestFeedSessionAllocs is the serve path's allocation gate: feeding 8
+// consecutive batches into one session — lookup, seq walk, feed,
+// accounting, sizing — allocates nothing once the session is warm. It
+// runs on the shard goroutine, which owns the session table.
 func TestFeedSessionAllocs(t *testing.T) {
 	batch := testTrace().Events
 	if len(batch) > 1024 {
@@ -455,25 +478,22 @@ func TestFeedSessionAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			group := make([]*feedReq, 8)
-			for i := range group {
-				group[i] = &feedReq{id: inf.ID, events: batch, insts: 1, reply: make(chan sessionReply, 1)}
-			}
 			sh := s.mgr.shardFor(inf.ID)
 			allocs := make(chan float64, 1)
-			err = s.mgr.enqueue(ctx, sh, shardOp{fn: func() {
+			err = s.mgr.enqueue(ctx, sh, func() {
 				allocs <- testing.AllocsPerRun(20, func() {
-					sh.feedSession(inf.ID, group)
-					for _, r := range group {
-						<-r.reply
+					for range 8 {
+						if _, err := sh.feed(inf.ID, batch, 1, 0, false); err != nil {
+							panic(err)
+						}
 					}
 				})
-			}}, true)
+			}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if avg := <-allocs; avg != 0 {
-				t.Errorf("feedSession allocates %.1f times per 8-batch group; want 0", avg)
+				t.Errorf("sh.feed allocates %.1f times per 8 batches; want 0", avg)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -98,9 +99,11 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestScrapeLintAndH2P drives real traffic, then requires the full
 // /metrics page to pass the strict exposition lint and the aggregate
-// H2P families to agree with the hand-computed ranking.
+// H2P families to agree with the hand-computed ranking. The scrape must
+// sweep each of the two shards once, so both H2P families come from one
+// ranking and name the same PCs.
 func TestScrapeLintAndH2P(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
+	ts, s := newTestServer(t, Config{Shards: 2})
 
 	var sess SessionJSON
 	doJSON(t, "POST", ts.URL+"/v1/sessions",
@@ -110,6 +113,7 @@ func TestScrapeLintAndH2P(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/events", handStatsBatch(), http.StatusOK, &ack)
 	doJSON(t, "GET", ts.URL+"/v1/sessions/nope", nil, http.StatusNotFound, nil) // a 404 series too
 
+	ops := s.tel.opsExecuted.Value()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +123,9 @@ func TestScrapeLintAndH2P(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := s.tel.opsExecuted.Value() - ops; got != 2 {
+		t.Errorf("one scrape ran %d shard ops, want 2 (one H2P sweep per shard)", got)
+	}
 	fams, err := telemetry.ParseText(bytes.NewReader(page))
 	if err != nil {
 		t.Fatalf("scrape fails lint: %v\n%s", err, page)
@@ -126,6 +133,15 @@ func TestScrapeLintAndH2P(t *testing.T) {
 	byName := map[string]telemetry.Family{}
 	for _, f := range fams {
 		byName[f.Name] = f
+	}
+	var pcs [2][]string
+	for i, name := range []string{"bpservd_h2p_events", "bpservd_h2p_mispredicts"} {
+		for _, sm := range byName[name].Samples {
+			pcs[i] = append(pcs[i], sm.Label("pc"))
+		}
+	}
+	if !reflect.DeepEqual(pcs[0], pcs[1]) {
+		t.Errorf("h2p families name different PCs: events %v, mispredicts %v", pcs[0], pcs[1])
 	}
 
 	if f, ok := byName["bpservd_h2p_mispredicts"]; !ok {
