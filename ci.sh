@@ -179,7 +179,8 @@ echo "== cluster smoke =="
 # Two bpservd backends with a shared spill directory behind bprouter;
 # bpload drives the cluster in -cluster mode (explicit session IDs,
 # per-batch seqs, per-branch metrics, an injected X-Request-Id per
-# batch) and SIGTERMs one backend mid-run. The gate passes only if:
+# batch) and SIGTERMs mid-run the first backend that holds one of its
+# sessions; the other is the survivor. The gate passes only if:
 #   - the run finishes with zero errors AND the surviving backend's
 #     metrics match an uninterrupted local replay (zero lost state);
 #   - an injected request ID appears in the router log AND in a backend
@@ -195,7 +196,7 @@ echo "== cluster smoke =="
 clusterdir=$(mktemp -d)
 trap 'status=$?
       if [ "$status" -ne 0 ]; then
-          for f in rt.log b1.log b2.log; do
+          for f in load.out rt.log b1.log b2.log; do
               [ -f "$clusterdir/$f" ] || continue
               echo "--- last 40 lines of $f ---" >&2
               tail -n 40 "$clusterdir/$f" >&2
@@ -234,15 +235,26 @@ while [ ! -s "$clusterdir/rt.port" ]; do
 	sleep 0.1
 done
 rtaddr=$(cat "$clusterdir/rt.port")
+b1addr=$(cat "$clusterdir/b1.port")
+b2addr=$(cat "$clusterdir/b2.port")
 "$smokedir/bpload" -addr "$rtaddr" -cluster -verify -per-branch -keep \
 	-rid-prefix trace -sessions 6 -events 300000 -batch 2048 \
-	-kill-pid "$b1pid" -kill-after 0.4
-wait "$b1pid" || true # SIGTERMed by bpload; must already be gone
+	-kill "$b1addr=$b1pid,$b2addr=$b2pid" -kill-after 0.4 >"$clusterdir/load.out" 2>&1
+cat "$clusterdir/load.out"
+case "$(sed -n 's/^killed backend  \([^ ]*\) .*/\1/p' "$clusterdir/load.out")" in
+"$b1addr") deadpid=$b1pid survivor=b2 survpid=$b2pid survaddr=$b2addr ;;
+"$b2addr") deadpid=$b2pid survivor=b1 survpid=$b1pid survaddr=$b1addr ;;
+*)
+	echo "bpload killed no backend" >&2
+	exit 1
+	;;
+esac
+wait "$deadpid" || true # SIGTERMed by bpload; must already be gone
 
 echo "-- request-id trace across failover --"
 # Every batch carried a deterministic trace-s<worker>-q<seq> ID; the
 # same ID must be visible at both tiers.
-for f in rt.log b2.log; do
+for f in rt.log $survivor.log; do
 	if ! grep -q 'rid=trace-s' "$clusterdir/$f"; then
 		echo "no injected request ID reached $f" >&2
 		exit 1
@@ -256,7 +268,7 @@ if [ -z "$retry_rid" ]; then
 	echo "router never logged a retried batch request ID" >&2
 	exit 1
 fi
-if ! grep -q "rid=$retry_rid" "$clusterdir/b2.log"; then
+if ! grep -q "rid=$retry_rid" "$clusterdir/$survivor.log"; then
 	echo "retried request ID $retry_rid missing from surviving backend log" >&2
 	exit 1
 fi
@@ -277,7 +289,7 @@ done
 
 echo "-- bptop fleet frame (lints both tiers) --"
 frame=$("$clusterdir/bptop" -once -k 5 \
-	-targets "$rtaddr,$(cat "$clusterdir/b2.port")")
+	-targets "$rtaddr,$survaddr")
 echo "$frame"
 for want in '2/2 targets up' 'bprouter' 'bpservd' '0x'; do
 	case "$frame" in
@@ -289,8 +301,8 @@ for want in '2/2 targets up' 'bprouter' 'bpservd' '0x'; do
 	esac
 done
 
-kill -TERM "$rtpid" "$b2pid"
-if ! wait "$b2pid"; then
+kill -TERM "$rtpid" "$survpid"
+if ! wait "$survpid"; then
 	echo "surviving backend shut down uncleanly" >&2
 	exit 1
 fi

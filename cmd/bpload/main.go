@@ -16,13 +16,14 @@
 // backend: sessions get explicit IDs (so the ring owns their placement),
 // every batch carries a sequence number (so a retried batch is
 // deduplicated, not double-counted), and transport failures are retried
-// rather than fatal. With -kill-pid the run SIGTERMs one backend once the
-// fleet is halfway through its batches — combined with -verify this is
+// rather than fatal. With -kill the run SIGTERMs one backend once the
+// fleet is halfway through its batches: of the listed backends, the
+// first that holds a session of this run. Combined with -verify this is
 // the zero-lost-state check: the dying backend spills its sessions, the
 // survivor warm-restores them, and the final metrics must still be
 // byte-identical to an uninterrupted local replay.
 //
-//	bpload -addr 127.0.0.1:9090 -cluster -verify -kill-pid $BACKEND_PID
+//	bpload -addr 127.0.0.1:9090 -cluster -verify -kill 127.0.0.1:8081=$PID1,127.0.0.1:8082=$PID2
 package main
 
 import (
@@ -35,6 +36,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,8 +77,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	idPrefix := fs.String("id-prefix", "bpload", "session ID prefix in cluster mode")
 	keep := fs.Bool("keep", false, "leave sessions resident after the run (final metrics are read, not deleted)")
 	ridPrefix := fs.String("rid-prefix", "", "inject an X-Request-Id of <prefix>-s<worker>-q<seq> on every event batch, stable across redeliveries (empty disables)")
-	killPID := fs.Int("kill-pid", 0, "SIGTERM this PID once the run crosses -kill-after of its batches (cluster mode)")
-	killAfter := fs.Float64("kill-after", 0.5, "fraction of total batches after which -kill-pid fires")
+	kill := fs.String("kill", "", "backends as addr=pid,...: once the run crosses -kill-after of its batches, SIGTERM the first that holds a session of this run (cluster mode)")
+	killAfter := fs.Float64("kill-after", 0.5, "fraction of total batches after which -kill fires")
 	smoke := fs.Bool("smoke", false, "run the endpoint smoke sequence instead of a load run")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall deadline")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
@@ -107,15 +109,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *sessions < 1 || *batch < 1 {
 		return fmt.Errorf("need -sessions >= 1 and -batch >= 1")
 	}
-	if *killPID != 0 && !*cluster {
-		return fmt.Errorf("-kill-pid requires -cluster (a lone backend cannot lose a member)")
+	targets, err := parseKill(*kill)
+	if err != nil {
+		return err
+	}
+	if len(targets) > 0 && !*cluster {
+		return fmt.Errorf("-kill requires -cluster (a lone backend cannot lose a member)")
 	}
 	rep, err := runLoad(ctx, c, tr, loadConfig{
 		sessions: *sessions, events: *events, batch: *batch,
 		spec: *spec, opts: opts, verify: *verify,
 		cluster: *cluster, idPrefix: *idPrefix,
 		keep: *keep, ridPrefix: *ridPrefix,
-		killPID: *killPID, killAfter: *killAfter,
+		kill: targets, killAfter: *killAfter,
 	})
 	if err != nil {
 		return err
@@ -133,7 +139,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "redeliveries    %d\n", rep.Redeliveries)
 	}
 	if rep.Killed != 0 {
-		fmt.Fprintf(out, "killed backend  pid %d mid-run\n", rep.Killed)
+		fmt.Fprintf(out, "killed backend  %s pid %d mid-run\n", rep.KilledAddr, rep.Killed)
 	}
 	fmt.Fprintf(out, "errors          %d\n", rep.Errors)
 	fmt.Fprintf(out, "batch latency   p50 %.3fms  p90 %.3fms  p99 %.3fms\n",
@@ -201,8 +207,44 @@ type loadConfig struct {
 	idPrefix  string
 	keep      bool
 	ridPrefix string
-	killPID   int
+	kill      []killTarget
 	killAfter float64
+}
+
+// killTarget is one -kill entry: a backend's address and its PID.
+type killTarget struct {
+	addr string
+	pid  int
+}
+
+// parseKill parses -kill's addr=pid,... list.
+func parseKill(s string) ([]killTarget, error) {
+	var out []killTarget
+	for _, kv := range strings.Split(s, ",") {
+		if kv == "" {
+			continue
+		}
+		addr, pid, ok := strings.Cut(kv, "=")
+		n, err := strconv.Atoi(pid)
+		if !ok || addr == "" || err != nil || n <= 0 {
+			return nil, fmt.Errorf("-kill: %q is not addr=pid", kv)
+		}
+		out = append(out, killTarget{addr: addr, pid: n})
+	}
+	return out, nil
+}
+
+// pickKill returns the index of the first listing that holds a session
+// of this run (its ID starts with prefix), or -1 when none does.
+func pickKill(listings [][]serve.SessionJSON, prefix string) int {
+	for i, l := range listings {
+		for _, s := range l {
+			if strings.HasPrefix(s.ID, prefix) {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // Report is the load run summary (also the -json output shape).
@@ -213,6 +255,7 @@ type Report struct {
 	Retries      uint64  `json:"retries_429"`
 	Redeliveries uint64  `json:"redeliveries,omitempty"` // transport retries + deduplicated batches (cluster mode)
 	Killed       int     `json:"killed_pid,omitempty"`   // backend PID this run SIGTERMed mid-stream
+	KilledAddr   string  `json:"killed_addr,omitempty"`  // and its address
 	Errors       uint64  `json:"errors"`
 	ElapsedSec   float64 `json:"elapsed_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -229,17 +272,28 @@ func runLoad(ctx context.Context, c *serve.Client, tr *trace.Trace, cfg loadConf
 	}
 
 	// Cluster-mode failure injection: once the fleet has delivered
-	// killAfter of its total batches, SIGTERM the named backend exactly
-	// once. The run must ride through it.
+	// killAfter of its total batches, SIGTERM exactly once the first
+	// listed backend that holds a session of this run. The run must ride
+	// through it.
 	perSessionBatches := (perSession + uint64(cfg.batch) - 1) / uint64(cfg.batch)
 	killAt := uint64(float64(perSessionBatches*uint64(cfg.sessions)) * cfg.killAfter)
 	var fleetBatches atomic.Uint64
 	var killOnce sync.Once
+	var killed *killTarget
 	maybeKill := func() {
-		if cfg.killPID == 0 || fleetBatches.Load() < killAt {
+		if len(cfg.kill) == 0 || fleetBatches.Load() < killAt {
 			return
 		}
-		killOnce.Do(func() { syscall.Kill(cfg.killPID, syscall.SIGTERM) })
+		killOnce.Do(func() {
+			listings := make([][]serve.SessionJSON, len(cfg.kill))
+			for i, t := range cfg.kill {
+				listings[i], _ = serve.NewClient("http://"+t.addr, nil).List(ctx)
+			}
+			if i := pickKill(listings, cfg.idPrefix+"-"); i >= 0 {
+				killed = &cfg.kill[i]
+				syscall.Kill(killed.pid, syscall.SIGTERM)
+			}
+		})
 	}
 
 	// retriable reports whether cluster mode should redeliver the batch:
@@ -408,8 +462,8 @@ func runLoad(ctx context.Context, c *serve.Client, tr *trace.Trace, cfg loadConf
 		rep.Redeliveries += res.redelivery
 		lat = append(lat, res.latencies...)
 	}
-	if cfg.killPID != 0 && fleetBatches.Load() >= killAt {
-		rep.Killed = cfg.killPID
+	if killed != nil {
+		rep.Killed, rep.KilledAddr = killed.pid, killed.addr
 	}
 	if rep.Errors > 0 {
 		for i := range results {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,50 @@ func TestBatcherCycles(t *testing.T) {
 	}
 }
 
+// TestPickKill: the kill goes to the first listed backend holding a
+// session of this run; another run's sessions and empty or failed
+// listings do not count.
+func TestPickKill(t *testing.T) {
+	sessions := func(ids ...string) []serve.SessionJSON {
+		var out []serve.SessionJSON
+		for _, id := range ids {
+			out = append(out, serve.SessionJSON{ID: id})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		listings [][]serve.SessionJSON
+		want     int
+	}{
+		{"all on the second", [][]serve.SessionJSON{nil, sessions("bpload-0", "bpload-1")}, 1},
+		{"both hold some", [][]serve.SessionJSON{sessions("bpload-3"), sessions("bpload-0")}, 0},
+		{"first holds another run's", [][]serve.SessionJSON{sessions("other-0", "bpload"), sessions("bpload-2")}, 1},
+		{"none", [][]serve.SessionJSON{sessions("other-1"), nil}, -1},
+		{"no backends", nil, -1},
+	} {
+		if got := pickKill(tc.listings, "bpload-"); got != tc.want {
+			t.Errorf("%s: pickKill = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestParseKill(t *testing.T) {
+	got, err := parseKill("127.0.0.1:8081=12,127.0.0.1:8082=34")
+	want := []killTarget{{"127.0.0.1:8081", 12}, {"127.0.0.1:8082", 34}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("parseKill = %v, %v; want %v", got, err, want)
+	}
+	if got, err := parseKill(""); err != nil || len(got) != 0 {
+		t.Errorf("empty -kill = %v, %v", got, err)
+	}
+	for _, bad := range []string{"127.0.0.1:8081", "=12", "a=0", "a=x", "a=1,b"} {
+		if _, err := parseKill(bad); err == nil {
+			t.Errorf("parseKill(%q) succeeded", bad)
+		}
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), []string{"-version"}, &sb); err != nil {
@@ -157,6 +202,8 @@ func TestBadArgs(t *testing.T) {
 		{"-addr", "127.0.0.1:1", "-w", "nope"},
 		{"-addr", "127.0.0.1:1", "-sessions", "0"},
 		{"-nonexistent-flag"},
+		{"-addr", "127.0.0.1:1", "-kill", "127.0.0.1:2=3"}, // -kill without -cluster
+		{"-addr", "127.0.0.1:1", "-cluster", "-kill", "pid-only"},
 	} {
 		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("run(%v) succeeded", args)

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -30,6 +28,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/router"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -89,45 +88,5 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	defer rt.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	if *portfile != "" {
-		if err := writePortfile(*portfile, bound); err != nil {
-			ln.Close()
-			return err
-		}
-		defer os.Remove(*portfile)
-	}
-	fmt.Fprintf(out, "routing %d backends on %s\n", len(urls), bound)
-
-	hs := &http.Server{Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(out, "shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	return nil
-}
-
-// writePortfile publishes the bound address atomically so a watcher never
-// reads a half-written file.
-func writePortfile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return serve.ListenAndServe(ctx, out, *addr, *portfile, fmt.Sprintf("routing %d backends on ", len(urls)), rt.Handler(), *drain)
 }

@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -91,51 +89,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	// Shutdown ordering: ListenAndServe stops the HTTP server first so
+	// no handler is mid-enqueue, then Close drains the session shards.
+	err = serve.ListenAndServe(ctx, out, *addr, *portfile, "listening on ", srv.Handler(), *drain)
+	live := srv.Close()
 	if err != nil {
 		return err
 	}
-	bound := ln.Addr().String()
-	if *portfile != "" {
-		if err := writePortfile(*portfile, bound); err != nil {
-			ln.Close()
-			return err
-		}
-		defer os.Remove(*portfile)
-	}
-	fmt.Fprintf(out, "listening on %s\n", bound)
-
-	hs := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		srv.Close()
-		return err
-	case <-ctx.Done():
-	}
-
-	// Shutdown ordering: stop the HTTP server first so no handler is
-	// mid-enqueue, then drain the session shards.
-	fmt.Fprintln(out, "shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		srv.Close()
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	live := srv.Close()
 	fmt.Fprintf(out, "drained; %d sessions were live\n", live)
 	return nil
-}
-
-// writePortfile publishes the bound address atomically so a watcher never
-// reads a half-written file.
-func writePortfile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

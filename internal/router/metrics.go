@@ -5,25 +5,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// latencyBuckets are the histogram upper bounds in seconds (an implicit
-// +Inf follows): the same grid the backends use, so router-side and
-// backend-side latency distributions compare directly.
-var latencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
-
 // attemptBuckets bound the per-request upstream attempt count: 1 is the
 // no-retry common case; anything above counts failovers.
 var attemptBuckets = []float64{1, 2, 3, 4, 6, 8}
 
 // routerMetrics is the bprouter's metric set on the shared telemetry
-// registry. Per-endpoint handles are resolved once at route-registration
-// time (see Router.instrument), keeping the request path allocation-free.
+// registry. Request accounting (bprouter_requests_total and
+// bprouter_request_seconds) is registered by the router's
+// telemetry.Edge; each backend's upstream handle is resolved once in
+// New, keeping the request path free of vec lookups.
 type routerMetrics struct {
 	reg *telemetry.Registry
 
-	requests *telemetry.CounterVec   // bprouter_requests_total{endpoint,code}
-	latency  *telemetry.HistogramVec // bprouter_request_seconds{endpoint}
 	upstream *telemetry.HistogramVec // bprouter_upstream_seconds{backend}
 	attempts *telemetry.Histogram    // bprouter_upstream_attempts
 
@@ -37,9 +30,7 @@ type routerMetrics struct {
 func newRouterMetrics() *routerMetrics {
 	reg := telemetry.NewRegistry()
 	m := &routerMetrics{reg: reg}
-	m.requests = reg.CounterVec("bprouter_requests_total", "HTTP requests by endpoint and status code.", "endpoint", "code")
-	m.latency = reg.HistogramVec("bprouter_request_seconds", "End-to-end request latency by endpoint, as the client saw it.", latencyBuckets, "endpoint")
-	m.upstream = reg.HistogramVec("bprouter_upstream_seconds", "Latency of individual proxy attempts by backend (failed attempts included).", latencyBuckets, "backend")
+	m.upstream = reg.HistogramVec("bprouter_upstream_seconds", "Latency of individual proxy attempts by backend (failed attempts included).", telemetry.LatencyBuckets, "backend")
 	m.attempts = reg.Histogram("bprouter_upstream_attempts", "Upstream attempts per proxied request (1 = no retry).", attemptBuckets)
 	m.proxied = reg.Counter("bprouter_proxied_total", "Requests proxied to backends.")
 	m.retries = reg.Counter("bprouter_retries_total", "Proxy attempts retried on another backend after a transport failure.")

@@ -27,7 +27,6 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +42,8 @@ type Backend struct {
 	// URL is the backend's base URL, e.g. "http://127.0.0.1:8080".
 	URL string
 
-	api *serve.Client // health checks, listings and migration
+	api      *serve.Client        // health checks, listings and migration
+	upstream *telemetry.Histogram // bprouter_upstream_seconds{backend=URL}
 
 	healthy  atomic.Bool
 	draining atomic.Bool
@@ -114,12 +114,10 @@ type Router struct {
 	client   *http.Client
 	mux      *http.ServeMux
 	log      *log.Logger
+	ids      *telemetry.IDs // session IDs: r%06x-%08x
 
-	idctr  atomic.Uint64
-	idsalt uint64
-
-	mt    *routerMetrics
-	trace *telemetry.Tracer
+	mt   *routerMetrics
+	edge *telemetry.Edge
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -154,14 +152,15 @@ func New(cfg Config) (*Router, error) {
 		client: &http.Client{Timeout: cfg.Timeout},
 		mux:    http.NewServeMux(),
 		log:    cfg.Logger,
-		idsalt: rand.Uint64(),
+		ids:    telemetry.NewIDs("r"),
 		mt:     newRouterMetrics(),
-		trace:  telemetry.NewTracer("bprouter", cfg.Logger, cfg.SlowRequest),
 		stop:   make(chan struct{}),
 	}
+	rt.edge = telemetry.NewEdge("bprouter", rt.mt.reg, cfg.Logger, cfg.SlowRequest, cfg.MaxBody, time.Now)
 	for i, u := range cfg.Backends {
 		b := &Backend{URL: strings.TrimRight(u, "/")}
 		b.api = serve.NewClient(b.URL, rt.client)
+		b.upstream = rt.mt.upstream.With(b.URL)
 		b.healthy.Store(true) // optimistic until the first check
 		rt.backends = append(rt.backends, b)
 		for v := 0; v < cfg.VNodes; v++ {
@@ -190,19 +189,15 @@ func New(cfg Config) (*Router, error) {
 			}
 		})
 
-	rt.mux.Handle("POST /v1/sessions", rt.instrument("create_session", rt.handleCreate))
-	rt.mux.Handle("GET /v1/sessions", rt.instrument("list_sessions", rt.handleList))
-	rt.mux.Handle("/v1/sessions/{id}", rt.instrument("session", rt.handleSession))
-	rt.mux.Handle("/v1/sessions/{id}/{rest...}", rt.instrument("session", rt.handleSession))
-	rt.mux.Handle("/v1/", rt.instrument("proxy", rt.handleAny)) // sweeps, predictors, workloads
-	rt.mux.Handle("GET /healthz", rt.instrument("healthz", rt.handleHealthz))
-	rt.mux.Handle("GET /metrics", rt.instrument("metrics", rt.handleMetrics))
-	rt.mux.Handle("POST /admin/drain", rt.instrument("drain", rt.handleDrain))
-	rt.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	rt.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	rt.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	rt.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	rt.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	rt.mux.Handle("POST /v1/sessions", rt.edge.Wrap("create_session", rt.handleCreate))
+	rt.mux.Handle("GET /v1/sessions", rt.edge.Wrap("list_sessions", rt.handleList))
+	rt.mux.Handle("/v1/sessions/{id}", rt.edge.Wrap("session", rt.handleProxy))
+	rt.mux.Handle("/v1/sessions/{id}/{rest...}", rt.edge.Wrap("session", rt.handleProxy))
+	rt.mux.Handle("/v1/", rt.edge.Wrap("proxy", rt.handleProxy)) // sweeps, predictors, workloads
+	rt.mux.Handle("GET /healthz", rt.edge.Wrap("healthz", rt.handleHealthz))
+	rt.mux.Handle("GET /metrics", rt.edge.Wrap("metrics", rt.handleMetrics))
+	rt.mux.Handle("POST /admin/drain", rt.edge.Wrap("drain", rt.handleDrain))
+	telemetry.MountPprof(rt.mux)
 
 	rt.wg.Add(1)
 	go rt.healthLoop()
@@ -220,45 +215,6 @@ func (rt *Router) Close() {
 
 // Backends exposes the fleet for tests and the drain admin path.
 func (rt *Router) Backends() []*Backend { return rt.backends }
-
-// statusWriter captures the response code for metrics and logs.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request-ID propagation, per-endpoint
-// latency/status accounting, span recording, and one structured log
-// line per request. Handles are resolved here, once per endpoint at
-// route-registration time, so the per-request path does not allocate
-// for accounting.
-func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.Handler {
-	hist := rt.mt.latency.With(endpoint)
-	codes := telemetry.NewCodeCounter(rt.mt.requests, endpoint)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// EnsureRequestID writes a minted ID back onto r.Header, and
-		// forward clones r.Header into the upstream request — so the
-		// same ID reaches the backend, whichever backend retries land on.
-		rid := rt.trace.EnsureRequestID(r)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		sw.Header().Set(telemetry.RequestIDHeader, rid)
-		h(sw, r)
-		d := time.Since(start)
-		codes.Code(sw.code).Inc()
-		hist.ObserveDuration(d)
-		rt.trace.Record(telemetry.Span{
-			RequestID: rid, Endpoint: endpoint, Status: sw.code, Start: start, Duration: d,
-		})
-		rt.log.Printf("method=%s path=%s endpoint=%s status=%d dur_us=%d rid=%s",
-			r.Method, r.URL.Path, endpoint, sw.code, d.Microseconds(), rid)
-	})
-}
 
 // pick returns the backend owning id: the first ring point clockwise
 // from the ID's hash whose backend passes ok. Returns nil if none does.
@@ -309,10 +265,6 @@ func (rt *Router) checkAll() {
 	}
 }
 
-func (rt *Router) newID() string {
-	return fmt.Sprintf("r%06x-%08x", rt.idctr.Add(1), uint32(rt.idsalt>>32)^uint32(rt.idsalt)^rand.Uint32())
-}
-
 // forward proxies one request (with a pre-buffered body) to the backend
 // owning id, retrying around backends that fail at the transport level.
 // A transport failure marks the backend unhealthy immediately — the
@@ -339,17 +291,19 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string, bod
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
 		if err != nil {
-			writeJSONError(w, http.StatusInternalServerError, "internal", err.Error())
+			serve.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
+		// The request middleware set the request ID on r.Header, so every
+		// attempt carries the same ID to whichever backend it lands on.
 		req.Header = r.Header.Clone()
 		attempts++
 		upStart := time.Now()
 		resp, err := rt.client.Do(req)
-		rt.mt.upstream.With(b.URL).ObserveDuration(time.Since(upStart))
+		b.upstream.ObserveDuration(time.Since(upStart))
 		if err != nil {
 			if r.Context().Err() != nil {
-				writeJSONError(w, http.StatusBadGateway, "canceled", err.Error())
+				serve.WriteError(w, http.StatusBadGateway, "canceled", err.Error())
 				return
 			}
 			b.healthy.Store(false)
@@ -361,15 +315,15 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, id string, bod
 		return
 	}
 	rt.mt.noBackend.Inc()
-	writeJSONError(w, http.StatusServiceUnavailable, "no_backend", "no healthy backend available")
+	serve.WriteError(w, http.StatusServiceUnavailable, "no_backend", "no healthy backend available")
 }
 
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
 		if k == telemetry.RequestIDHeader {
-			// Already set by instrument; the backend echoes the same ID,
-			// and Add would duplicate the header.
+			// Already set by the request middleware; the backend echoes
+			// the same ID, and Add would duplicate the header.
 			continue
 		}
 		for _, v := range vs {
@@ -380,28 +334,12 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
-// writeJSONError writes the router's own error envelope, in the shape of
-// serve.ErrorBody: the request ID instrument echoed onto the response
-// headers is the correlation ID every tier logs.
-func writeJSONError(w http.ResponseWriter, code int, errCode, msg string) {
-	body := serve.ErrorBody{Error: serve.ErrorDetail{
-		Code: errCode, Message: msg, RequestID: w.Header().Get(telemetry.RequestIDHeader),
-	}}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(body)
-}
-
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
+// readBody buffers the request body, which the request middleware caps
+// at MaxBody; when it cannot, it answers 413 or 400 itself.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeJSONError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-		} else {
-			writeJSONError(w, http.StatusBadRequest, "bad_request", err.Error())
-		}
+		serve.WriteBodyError(w, err, "bad_request", err.Error())
 		return nil, false
 	}
 	return body, true
@@ -411,47 +349,43 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // one) and routes the create to the ring owner, so every later request
 // for the ID resolves to the same backend.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
 	var req map[string]any
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
 		return
 	}
 	id, _ := req["id"].(string)
 	if id == "" {
-		id = rt.newID()
+		id = rt.ids.Next()
 		req["id"] = id
 		var err error
 		if body, err = json.Marshal(req); err != nil {
-			writeJSONError(w, http.StatusInternalServerError, "internal", err.Error())
+			serve.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
 	}
 	rt.forward(w, r, id, body)
 }
 
-// handleSession routes every per-session endpoint (events, metrics,
-// snapshot, restore, delete) by the path's session ID.
-func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
+// handleProxy forwards a request with its buffered body: per-session
+// endpoints (events, metrics, snapshot, restore, delete) to the ring
+// owner of the path's session ID, anything else (sweeps, predictors,
+// workloads) to the owner of a random key, which spreads stateless
+// requests across the fleet.
+func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	rt.forward(w, r, r.PathValue("id"), body)
-}
-
-// handleAny routes non-session API paths (sweeps, predictors,
-// workloads) to any healthy backend.
-func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
+	key := r.PathValue("id")
+	if key == "" {
+		key = fmt.Sprintf("any-%d", rand.Uint64())
 	}
-	// A random key spreads stateless requests across the fleet.
-	rt.forward(w, r, fmt.Sprintf("any-%d", rand.Uint64()), body)
+	rt.forward(w, r, key, body)
 }
 
 // handleList merges the session listings of every healthy backend. A
@@ -471,8 +405,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		out.Sessions = append(out.Sessions, part...)
 	}
 	out.Count = len(out.Sessions)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -483,7 +416,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if healthy == 0 {
-		writeJSONError(w, http.StatusServiceUnavailable, "no_backend", "no healthy backend")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no_backend", "no healthy backend")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -512,13 +445,13 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if b == nil {
-		writeJSONError(w, http.StatusNotFound, "unknown_backend", fmt.Sprintf("backend %q is not in the fleet", target))
+		serve.WriteError(w, http.StatusNotFound, "unknown_backend", fmt.Sprintf("backend %q is not in the fleet", target))
 		return
 	}
 	b.draining.Store(true)
 	moved, failed, err := rt.Drain(r.Context(), b)
 	if err != nil {
-		writeJSONError(w, http.StatusBadGateway, "drain_failed", err.Error())
+		serve.WriteError(w, http.StatusBadGateway, "drain_failed", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

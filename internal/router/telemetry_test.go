@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -134,5 +135,104 @@ func TestRouterErrorCarriesRequestID(t *testing.T) {
 	}
 	if ae.RequestID != "down-rid-3" {
 		t.Errorf("no_backend envelope request_id %q, want down-rid-3", ae.RequestID)
+	}
+}
+
+// TestUpstreamSeriesPerBackend: each backend's upstream latency handle
+// is resolved when the router is built, so the first scrape of a fresh
+// router, before any traffic, already carries one series per backend.
+func TestUpstreamSeriesPerBackend(t *testing.T) {
+	c := newCluster(t, 2, "")
+	resp, err := http.Get(c.front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var upstream telemetry.Family
+	for _, f := range fams {
+		if f.Name == "bprouter_upstream_seconds" {
+			upstream = f
+		}
+	}
+	for _, b := range c.backends {
+		if s := upstream.Sample("bprouter_upstream_seconds_count", map[string]string{"backend": b.URL}); s == nil || s.Value != 0 {
+			t.Errorf("upstream_seconds_count{backend=%s} = %+v, want a 0 series", b.URL, s)
+		}
+	}
+}
+
+// newLoggedRouter fronts one in-process backend with a router built
+// from cfg, logging into the returned buffer.
+func newLoggedRouter(t *testing.T, cfg Config) (front string, logBuf *bytes.Buffer) {
+	t.Helper()
+	s := serve.MustNew(serve.Config{Shards: 1})
+	bts := httptest.NewServer(s.Handler())
+	logBuf = new(bytes.Buffer)
+	cfg.Backends = []string{bts.URL}
+	cfg.HealthEvery = time.Hour
+	cfg.Logger = log.New(logBuf, "", 0)
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		fts.Close()
+		rt.Close()
+		bts.Close()
+		s.Close()
+	})
+	return fts.URL, logBuf
+}
+
+// TestRouterBodyTooLarge: a body over the router's MaxBody answers 413
+// body_too_large, quoting the request's X-Request-Id.
+func TestRouterBodyTooLarge(t *testing.T) {
+	front, _ := newLoggedRouter(t, Config{MaxBody: 64})
+	blob := serve.EncodeBatch(testTrace().Events[:16], 16)
+	_, err := serve.NewClient(front, nil).Feed(context.Background(), "big", blob, 0, "big-rid-9")
+	var ae *serve.APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("err %v, want an *APIError", err)
+	}
+	if ae.Status != http.StatusRequestEntityTooLarge || ae.Code != "body_too_large" || ae.Message != "request body exceeds 64 bytes" {
+		t.Errorf("got %d %q %q; want 413 body_too_large", ae.Status, ae.Code, ae.Message)
+	}
+	if ae.RequestID != "big-rid-9" {
+		t.Errorf("request_id %q, want big-rid-9", ae.RequestID)
+	}
+}
+
+// TestRouterSlowRequestLog: a router request over SlowRequest writes
+// the structured slow_request line.
+func TestRouterSlowRequestLog(t *testing.T) {
+	front, logBuf := newLoggedRouter(t, Config{SlowRequest: time.Nanosecond})
+	doJSON(t, "GET", front+"/healthz", nil, http.StatusOK, nil)
+	if !strings.Contains(logBuf.String(), "slow_request service=bprouter endpoint=healthz") {
+		t.Errorf("no slow_request line: %s", logBuf.String())
+	}
+}
+
+// TestRouterIDFormats pins the two ID kinds the router mints: session
+// IDs r%06x-%08x and request IDs bprouter-%06x-%08x.
+func TestRouterIDFormats(t *testing.T) {
+	front, _ := newLoggedRouter(t, Config{})
+	var sess serve.SessionJSON
+	doJSON(t, "POST", front+"/v1/sessions", serve.SessionRequest{Spec: "gshare:12:8"}, http.StatusCreated, &sess)
+	if re := regexp.MustCompile(`^r[0-9a-f]{6,}-[0-9a-f]{8}$`); !re.MatchString(sess.ID) {
+		t.Errorf("router session ID %q does not match %s", sess.ID, re)
+	}
+	resp, err := http.Get(front + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	rid := resp.Header.Get(telemetry.RequestIDHeader)
+	if re := regexp.MustCompile(`^bprouter-[0-9a-f]{6,}-[0-9a-f]{8}$`); !re.MatchString(rid) {
+		t.Errorf("router request ID %q does not match %s", rid, re)
 	}
 }

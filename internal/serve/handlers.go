@@ -23,23 +23,25 @@ import (
 	"repro/internal/workload"
 )
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with status code and v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, errCode, msg string) {
+// WriteError answers with status code and the error envelope, which
+// both tiers share.
+func WriteError(w http.ResponseWriter, code int, errCode, msg string) {
 	body := ErrorBody{}
 	body.Error.Code = errCode
 	body.Error.Message = msg
-	// The instrument wrapper echoes the request's correlation ID into
+	// The request middleware echoes the request's correlation ID into
 	// the response headers before the handler runs; surfacing it in the
 	// envelope lets a client quote the exact ID when reporting a
 	// failure, and lets an operator grep it across tiers.
 	body.Error.RequestID = w.Header().Get(telemetry.RequestIDHeader)
-	writeJSON(w, code, body)
+	WriteJSON(w, code, body)
 }
 
 // writeMgrError maps a session-manager error onto the error envelope.
@@ -48,20 +50,20 @@ func writeMgrError(w http.ResponseWriter, s *Server, err error) {
 	if errors.Is(err, ErrBusy) {
 		s.tel.backpressure.Inc()
 	}
-	writeError(w, code, errCode, err.Error())
+	WriteError(w, code, errCode, err.Error())
 }
 
-// writeBodyError answers a request whose body could not be read: 413
-// when the body exceeded the server's MaxBody, else 400 with errCode and
+// WriteBodyError answers a request whose body could not be read: 413
+// when the body exceeded the tier's body cap, else 400 with errCode and
 // msg.
-func writeBodyError(w http.ResponseWriter, err error, errCode, msg string) {
+func WriteBodyError(w http.ResponseWriter, err error, errCode, msg string) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+		WriteError(w, http.StatusRequestEntityTooLarge, "body_too_large",
 			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
 		return
 	}
-	writeError(w, http.StatusBadRequest, errCode, msg)
+	WriteError(w, http.StatusBadRequest, errCode, msg)
 }
 
 // decodeJSON reads a JSON body, translating an oversized body into 413.
@@ -69,7 +71,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeBodyError(w, err, "bad_request", "malformed JSON body: "+err.Error())
+		WriteBodyError(w, err, "bad_request", "malformed JSON body: "+err.Error())
 		return false
 	}
 	return true
@@ -87,17 +89,17 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := sim.Parse(req.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_spec", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_spec", err.Error())
 		return
 	}
 	cfg, err := req.Config()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	cfg.Predictor, err = spec.New()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_spec", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_spec", err.Error())
 		return
 	}
 	inf, err := s.mgr.Create(r.Context(), req.ID, spec, cfg)
@@ -105,7 +107,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeMgrError(w, s, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, sessionJSON(inf, false))
+	WriteJSON(w, http.StatusCreated, sessionJSON(inf, false))
 }
 
 // batchPool recycles event scratch buffers for the binary batch-feed hot
@@ -165,7 +167,7 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("seq"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n == 0 {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad seq %q", v))
+			WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad seq %q", v))
 			return
 		}
 		seq = n
@@ -175,7 +177,7 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 		tr, err := readTraceBody(r.Body, *pooled)
 		if err != nil {
 			batchPool.Put(pooled)
-			writeBodyError(w, err, "bad_trace", err.Error())
+			WriteBodyError(w, err, "bad_trace", err.Error())
 			return
 		}
 		*pooled = tr.Events[:0] // keep the (possibly grown) backing array
@@ -189,7 +191,7 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 		for i, ej := range req.Events {
 			ev, err := ej.Event()
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad_event", fmt.Sprintf("event %d: %v", i, err))
+				WriteError(w, http.StatusBadRequest, "bad_event", fmt.Sprintf("event %d: %v", i, err))
 				return
 			}
 			events[i] = ev
@@ -217,7 +219,7 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 		mj := MetricsToJSON(res.Info.Metrics)
 		resp.Metrics = &mj
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +228,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		writeMgrError(w, s, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sessionJSON(inf, true))
+	WriteJSON(w, http.StatusOK, sessionJSON(inf, true))
 }
 
 // handleStats serves the per-branch introspection report: how many
@@ -237,7 +239,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > 1000 {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad k %q (want 1..1000)", v))
+			WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad k %q (want 1..1000)", v))
 			return
 		}
 		k = n
@@ -247,7 +249,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeMgrError(w, s, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sessionStatsJSON(inf, rep, perBranch))
+	WriteJSON(w, http.StatusOK, sessionStatsJSON(inf, rep, perBranch))
 }
 
 // handleGetSnapshot streams a session's P64S snapshot without removing
@@ -269,7 +271,7 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	blob, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeBodyError(w, err, "bad_request", err.Error())
+		WriteBodyError(w, err, "bad_request", err.Error())
 		return
 	}
 	res, err := snap.Decode(blob)
@@ -279,7 +281,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, snap.ErrVersion) {
 			code = "snapshot_version"
 		}
-		writeError(w, http.StatusBadRequest, code, err.Error())
+		WriteError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	inf, err := s.mgr.Restore(r.Context(), r.PathValue("id"), res)
@@ -287,7 +289,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 		writeMgrError(w, s, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, sessionJSON(inf, false))
+	WriteJSON(w, http.StatusCreated, sessionJSON(inf, false))
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -296,7 +298,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeMgrError(w, s, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sessionJSON(inf, true))
+	WriteJSON(w, http.StatusOK, sessionJSON(inf, true))
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
@@ -309,7 +311,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	for _, inf := range infos {
 		out.Sessions = append(out.Sessions, sessionJSON(inf, false))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // parseSweepQuery reads the query-parameter form of a sweep request used
@@ -355,22 +357,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if isBinary(r) {
 		var err error
 		if req, err = parseSweepQuery(r); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		if tr, err = readTraceBody(r.Body, nil); err != nil {
-			writeBodyError(w, err, "bad_trace", err.Error())
+			WriteBodyError(w, err, "bad_trace", err.Error())
 			return
 		}
 	} else if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "no predictor specs given")
+		WriteError(w, http.StatusBadRequest, "bad_request", "no predictor specs given")
 		return
 	}
 	if len(req.Specs) > s.cfg.MaxSweepSpecs {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("%d specs exceeds the per-request limit of %d", len(req.Specs), s.cfg.MaxSweepSpecs))
 		return
 	}
@@ -378,25 +380,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, text := range req.Specs {
 		sp, err := sim.Parse(text)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_spec", err.Error())
+			WriteError(w, http.StatusBadRequest, "bad_spec", err.Error())
 			return
 		}
 		specs[i] = sp
 	}
 	baseCfg, err := req.Config()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 
 	if tr == nil {
 		if req.Workload == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "need a workload name or an uploaded trace")
+			WriteError(w, http.StatusBadRequest, "bad_request", "need a workload name or an uploaded trace")
 			return
 		}
 		wl, err := workload.ByName(req.Workload)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_workload", err.Error())
+			WriteError(w, http.StatusBadRequest, "bad_workload", err.Error())
 			return
 		}
 		limit := req.Limit
@@ -410,13 +412,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if req.Convert {
 			cp, _, err := ifconv.Convert(p, ifconv.Config{})
 			if err != nil {
-				writeError(w, http.StatusInternalServerError, "internal", err.Error())
+				WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 				return
 			}
 			p = cp
 		}
 		if tr, err = trace.Collect(p, limit); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_workload", err.Error())
+			WriteError(w, http.StatusBadRequest, "bad_workload", err.Error())
 			return
 		}
 	}
@@ -452,14 +454,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			code, errCode = http.StatusGatewayTimeout, "timeout"
 		}
-		writeError(w, code, errCode, err.Error())
+		WriteError(w, code, errCode, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{Workload: tr.Name, Events: len(tr.Events), Rows: rows})
+	WriteJSON(w, http.StatusOK, SweepResponse{Workload: tr.Name, Events: len(tr.Events), Rows: rows})
 }
 
 func (s *Server) handlePredictors(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, PredictorsResponse{Kinds: sim.Kinds(), Usage: sim.Usage()})
+	WriteJSON(w, http.StatusOK, PredictorsResponse{Kinds: sim.Kinds(), Usage: sim.Usage()})
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -471,11 +473,11 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	for i, wl := range ws {
 		out[i] = WorkloadJSON{Name: wl.Name, Description: wl.Description}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetricsPage renders the registry. Renders are serialized so each

@@ -5,28 +5,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The observability layer: request counters, per-endpoint latency
-// histograms, and gauge callbacks, rendered in the Prometheus text
-// exposition format on /metrics. The registry, tracer, and exposition
-// renderer live in internal/telemetry and are shared with the bprouter;
-// this file only declares bpservd's metric families.
-
-// latencyBuckets are the histogram upper bounds in seconds; an implicit
-// +Inf bucket follows.
-var latencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
-
-// serverMetrics is bpservd's metric set on the shared telemetry
-// registry. Request accounting is labeled by endpoint and status code;
-// the per-endpoint handles are resolved once at route-registration time
-// (see Server.instrument), so the per-request path is two atomic adds
-// and a histogram observation — no locks, no allocation.
+// serverMetrics declares bpservd's metric families on its registry,
+// rendered on /metrics; the registry, the renderer and the request
+// accounting (bpservd_requests_total, bpservd_request_seconds, which the
+// server's telemetry.Edge registers) live in internal/telemetry.
 type serverMetrics struct {
 	reg *telemetry.Registry
-
-	requests *telemetry.CounterVec   // bpservd_requests_total{endpoint,code}
-	latency  *telemetry.HistogramVec // bpservd_request_seconds{endpoint}
 
 	events          *telemetry.Counter
 	batches         *telemetry.Counter
@@ -48,8 +32,6 @@ type serverMetrics struct {
 func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{reg: reg}
-	m.requests = reg.CounterVec("bpservd_requests_total", "HTTP requests by endpoint and status code.", "endpoint", "code")
-	m.latency = reg.HistogramVec("bpservd_request_seconds", "Request latency by endpoint.", latencyBuckets, "endpoint")
 	m.events = reg.Counter("bpservd_events_total", "Branch/predicate events fed into sessions.")
 	m.batches = reg.Counter("bpservd_batches_total", "Event batches accepted.")
 	m.backpressure = reg.Counter("bpservd_backpressure_total", "Batches rejected with 429 because a shard queue was full.")

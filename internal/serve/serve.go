@@ -33,7 +33,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"sync"
 	"time"
@@ -141,11 +140,10 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	tel    *serverMetrics
-	trace  *telemetry.Tracer
+	edge   *telemetry.Edge
 	mgr    *sessionManager
 	mux    *http.ServeMux
 	bucket *tokenBucket
-	log    *log.Logger
 
 	// sweepHold, when set, runs with each sweep's deadline context just
 	// before the fan-out starts. Tests set it to wait for the context,
@@ -175,12 +173,11 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:   cfg,
-		tel:   tel,
-		trace: telemetry.NewTracer("bpservd", cfg.Logger, cfg.SlowRequest),
-		mgr:   newSessionManager(cfg, tel, spill),
-		mux:   http.NewServeMux(),
-		log:   cfg.Logger,
+		cfg:  cfg,
+		tel:  tel,
+		edge: telemetry.NewEdge("bpservd", tel.reg, cfg.Logger, cfg.SlowRequest, cfg.MaxBody, cfg.Now),
+		mgr:  newSessionManager(cfg, tel, spill),
+		mux:  http.NewServeMux(),
 	}
 	if cfg.RatePerSec > 0 {
 		s.bucket = newTokenBucket(cfg.RatePerSec, float64(cfg.RateBurst), cfg.Now)
@@ -229,13 +226,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("POST /v1/sweep", s.api("sweep", s.handleSweep))
 	s.mux.Handle("GET /v1/predictors", s.api("predictors", s.handlePredictors))
 	s.mux.Handle("GET /v1/workloads", s.api("workloads", s.handleWorkloads))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", false, s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", false, s.handleMetricsPage))
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.mux.Handle("GET /healthz", s.edge.Wrap("healthz", s.handleHealthz))
+	s.mux.Handle("GET /metrics", s.edge.Wrap("metrics", s.handleMetricsPage))
+	telemetry.MountPprof(s.mux)
 	return s, nil
 }
 
@@ -258,61 +251,16 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // of sessions that were still live.
 func (s *Server) Close() int64 { return s.mgr.Close() }
 
-// api wraps an API handler with rate limiting plus instrumentation.
+// api wraps an API handler in the request policy plus the rate limit:
+// a request over the limit answers 429, counted under its endpoint.
 func (s *Server) api(endpoint string, h http.HandlerFunc) http.Handler {
-	return s.instrument(endpoint, true, h)
-}
-
-// statusWriter captures the response code and size for metrics/logs.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// instrument applies the cross-cutting request policy: optional rate
-// limiting, body size capping, request-ID propagation, latency/status
-// accounting, and one structured log line per request. The endpoint's
-// metric handles are resolved once here, at route-registration time, so
-// the per-request accounting allocates nothing.
-func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) http.Handler {
-	hist := s.tel.latency.With(endpoint)
-	codes := telemetry.NewCodeCounter(s.tel.requests, endpoint)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := s.cfg.Now()
-		rid := s.trace.EnsureRequestID(r)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		// Echo the ID before the handler runs, so error envelopes (and
-		// the client) can read it back from the response.
-		sw.Header().Set(telemetry.RequestIDHeader, rid)
-		if limited && s.bucket != nil && !s.bucket.allow() {
+	return s.edge.Wrap(endpoint, func(w http.ResponseWriter, r *http.Request) {
+		if s.bucket != nil && !s.bucket.allow() {
 			s.tel.rateLimited.Inc()
-			writeError(sw, http.StatusTooManyRequests, "rate_limited", "request rate limit exceeded")
-		} else {
-			if r.Body != nil {
-				r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBody)
-			}
-			h(sw, r)
+			WriteError(w, http.StatusTooManyRequests, "rate_limited", "request rate limit exceeded")
+			return
 		}
-		d := s.cfg.Now().Sub(start)
-		codes.Code(sw.code).Inc()
-		hist.ObserveDuration(d)
-		s.trace.Record(telemetry.Span{
-			RequestID: rid, Endpoint: endpoint, Status: sw.code, Start: start, Duration: d,
-		})
-		s.log.Printf("method=%s path=%s endpoint=%s status=%d dur_us=%d bytes=%d rid=%s",
-			r.Method, r.URL.Path, endpoint, sw.code, d.Microseconds(), sw.bytes, rid)
+		h(w, r)
 	})
 }
 

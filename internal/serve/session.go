@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,8 +341,7 @@ type sessionManager struct {
 	spill *spillStore // nil when SpillDir is unset
 
 	shards []*shard
-	idctr  atomic.Uint64
-	idsalt uint64
+	ids    *telemetry.IDs // session IDs: s%06x-%08x
 
 	live   atomic.Int64
 	bytes  atomic.Int64
@@ -355,8 +353,8 @@ type sessionManager struct {
 func newSessionManager(cfg Config, tel *serverMetrics, spill *spillStore) *sessionManager {
 	m := &sessionManager{
 		cfg: cfg, tel: tel, now: cfg.Now, spill: spill,
-		idsalt: rand.Uint64(),
-		done:   make(chan struct{}),
+		ids:  telemetry.NewIDs("s"),
+		done: make(chan struct{}),
 	}
 	perShardSessions := (cfg.MaxSessions + cfg.Shards - 1) / cfg.Shards
 	if perShardSessions < 1 {
@@ -388,10 +386,6 @@ func newSessionManager(cfg Config, tel *serverMetrics, spill *spillStore) *sessi
 		go sh.run(cfg.SessionTTL, sweepEvery)
 	}
 	return m
-}
-
-func (m *sessionManager) newID() string {
-	return fmt.Sprintf("s%06x-%08x", m.idctr.Add(1), uint32(m.idsalt>>32)^uint32(m.idsalt)^rand.Uint32())
 }
 
 func (m *sessionManager) shardFor(id string) *shard {
@@ -484,7 +478,7 @@ func (m *sessionManager) Create(ctx context.Context, id string, spec sim.Spec, c
 		return nil, ErrBadID
 	}
 	if !explicit {
-		id = m.newID()
+		id = m.ids.Next()
 	}
 	return m.install(ctx, &session{
 		id: id, spec: spec,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -332,10 +333,14 @@ func TestNewIDUnique(t *testing.T) {
 	s := MustNew(Config{Shards: 1})
 	defer s.Close()
 	seen := make(map[string]bool)
+	format := regexp.MustCompile(`^s[0-9a-f]{6,}-[0-9a-f]{8}$`)
 	for i := 0; i < 1000; i++ {
-		id := s.mgr.newID()
+		id := s.mgr.ids.Next()
 		if seen[id] {
 			t.Fatalf("duplicate session id %q", id)
+		}
+		if !format.MatchString(id) {
+			t.Fatalf("session id %q does not match %s", id, format)
 		}
 		seen[id] = true
 	}

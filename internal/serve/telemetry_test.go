@@ -6,6 +6,7 @@ import (
 	"log"
 	"net/http"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -219,8 +220,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	got := resp.Header.Get(telemetry.RequestIDHeader)
-	if !telemetry.ValidRequestID(got) || !strings.HasPrefix(got, "bpservd-") {
-		t.Errorf("invalid client rid not replaced: %q", got)
+	if !regexp.MustCompile(`^bpservd-[0-9a-f]{6,}-[0-9a-f]{8}$`).MatchString(got) {
+		t.Errorf("invalid client rid not replaced by a minted bpservd ID: %q", got)
 	}
 }
 
@@ -242,39 +243,5 @@ func TestSlowRequestLog(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(buf.String(), "slow_request service=bpservd endpoint=healthz") {
 		t.Errorf("no slow_request line: %s", buf.String())
-	}
-}
-
-// TestRequestAccountingAllocFree pins the replacement for the old
-// fmt.Sprintf-keyed countRequest: with handles resolved per endpoint at
-// route-registration time, the steady-state per-request accounting must
-// not allocate.
-func TestRequestAccountingAllocFree(t *testing.T) {
-	s := MustNew(Config{})
-	defer s.Close()
-	hist := s.tel.latency.With("bench")
-	codes := telemetry.NewCodeCounter(s.tel.requests, "bench")
-	codes.Code(200).Inc() // warm the status-code handle cache
-	allocs := testing.AllocsPerRun(1000, func() {
-		codes.Code(200).Inc()
-		hist.ObserveDuration(137 * time.Microsecond)
-	})
-	if allocs != 0 {
-		t.Errorf("request accounting allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// BenchmarkRequestAccounting measures the per-request metric cost that
-// replaced the mutex-plus-Sprintf map path.
-func BenchmarkRequestAccounting(b *testing.B) {
-	s := MustNew(Config{})
-	defer s.Close()
-	hist := s.tel.latency.With("bench")
-	codes := telemetry.NewCodeCounter(s.tel.requests, "bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		codes.Code(200).Inc()
-		hist.ObserveDuration(137 * time.Microsecond)
 	}
 }

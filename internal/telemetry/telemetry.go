@@ -1,16 +1,18 @@
-// Package telemetry is the fleet's shared observability layer: a
-// dependency-free metrics registry (counters, scrape-time gauges,
-// fixed-bucket histograms, and labeled counter/histogram vecs with an
-// allocation-free hot path) rendered deterministically in the
-// Prometheus text exposition format, a strict parser/linter for that
-// format (see text.go), and request tracing across tiers (see
-// tracer.go).
+// Package telemetry is the fleet's shared observability layer and HTTP
+// edge: a dependency-free metrics registry (counters, scrape-time
+// gauges, fixed-bucket histograms, and labeled counter/histogram vecs
+// with an allocation-free hot path) rendered deterministically in the
+// Prometheus text exposition format; a strict parser for that format
+// (see text.go), the lint every tier's scrape must pass; and the
+// request policy both daemons wrap their routes in (see http.go): one
+// Edge per tier mints and propagates X-Request-Id, caps request bodies,
+// counts requests by endpoint and status code on one latency grid, and
+// writes the slow_request and access log lines.
 //
 // Both bpservd and bprouter build their /metrics pages on one Registry
 // each, so the exposition rules — HELP/TYPE before series, sorted
 // families, sorted series, escaped labels, monotone histogram buckets —
-// are enforced in exactly one place and bptop can parse any tier's
-// scrape with the same Lint entry point.
+// are enforced in exactly one place.
 //
 // Hot-path discipline: Counter.Inc/Add and Histogram.Observe are pure
 // atomics. Vec lookups (CounterVec.With, HistogramVec.With) take a

@@ -3,10 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"math"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // buildRegistry assembles a registry exercising every metric kind with
@@ -260,77 +258,5 @@ func TestBucketQuantile(t *testing.T) {
 	}
 	if got := BucketQuantile(nil, nil, 0.5); got != 0 {
 		t.Errorf("nil quantile = %g, want 0", got)
-	}
-}
-
-func TestTracer(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer("svc", newBufLogger(&buf), 10*time.Millisecond)
-	id := tr.NewRequestID()
-	if !ValidRequestID(id) {
-		t.Errorf("minted ID %q is not valid", id)
-	}
-	if id2 := tr.NewRequestID(); id2 == id {
-		t.Error("two minted IDs collide")
-	}
-	tr.Record(Span{RequestID: id, Endpoint: "feed", Status: 200, Duration: time.Millisecond})
-	if buf.Len() != 0 {
-		t.Errorf("fast request logged as slow: %s", buf.String())
-	}
-	tr.Record(Span{RequestID: id, Endpoint: "sweep", Status: 200, Duration: 50 * time.Millisecond})
-	if s := buf.String(); !strings.Contains(s, "slow_request") || !strings.Contains(s, "rid="+id) || !strings.Contains(s, "endpoint=sweep") {
-		t.Errorf("slow log line missing fields: %q", s)
-	}
-	recent := tr.Recent(10)
-	if len(recent) != 2 || recent[0].Endpoint != "sweep" || recent[1].Endpoint != "feed" {
-		t.Errorf("Recent wrong: %+v", recent)
-	}
-	if recent[0].Service != "svc" {
-		t.Errorf("service not defaulted: %+v", recent[0])
-	}
-	if tr.Spans() != 2 {
-		t.Errorf("Spans() = %d, want 2", tr.Spans())
-	}
-	// Ring wraps without losing the newest spans.
-	for i := 0; i < 600; i++ {
-		tr.Record(Span{RequestID: "x", Endpoint: "feed", Status: 200})
-	}
-	if got := tr.Recent(1000); len(got) != 256 {
-		t.Errorf("Recent after wrap = %d spans, want 256", len(got))
-	}
-}
-
-func TestValidRequestID(t *testing.T) {
-	for _, ok := range []string{"a", "req-1.2_3", strings.Repeat("x", 128)} {
-		if !ValidRequestID(ok) {
-			t.Errorf("ValidRequestID(%q) = false", ok)
-		}
-	}
-	for _, bad := range []string{"", "has space", "semi;colon", "newline\n", strings.Repeat("x", 129), `quo"te`} {
-		if ValidRequestID(bad) {
-			t.Errorf("ValidRequestID(%q) = true", bad)
-		}
-	}
-}
-
-func TestEnsureRequestID(t *testing.T) {
-	tr := NewTracer("svc", nil, 0)
-	r := newRequest(t)
-	id := tr.EnsureRequestID(r)
-	if r.Header.Get(RequestIDHeader) != id {
-		t.Error("minted ID not set on request")
-	}
-	if got := tr.EnsureRequestID(r); got != id {
-		t.Error("second Ensure re-minted")
-	}
-	r2 := newRequest(t)
-	r2.Header.Set(RequestIDHeader, "bad id!")
-	if got := tr.EnsureRequestID(r2); got == "bad id!" {
-		t.Error("invalid client ID was trusted")
-	}
-	r3 := newRequest(t)
-	r3.Header.Set(RequestIDHeader, "client-supplied-1")
-	if got := tr.EnsureRequestID(r3); got != "client-supplied-1" {
-		t.Errorf("valid client ID replaced by %q", got)
 	}
 }

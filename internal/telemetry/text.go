@@ -186,12 +186,6 @@ func copyOut(order []*Family) []Family {
 	return out
 }
 
-// Lint runs ParseText purely for its checks.
-func Lint(r io.Reader) error {
-	_, err := ParseText(r)
-	return err
-}
-
 func parseComment(line string) (kind, name, rest string, err error) {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 3 || fields[0] != "#" {

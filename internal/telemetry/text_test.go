@@ -7,7 +7,8 @@ import (
 
 func parseErr(t *testing.T, page string) error {
 	t.Helper()
-	return Lint(strings.NewReader(page))
+	_, err := ParseText(strings.NewReader(page))
+	return err
 }
 
 func TestParseTextAccepts(t *testing.T) {
