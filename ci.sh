@@ -92,7 +92,6 @@ go test -run='^$' -fuzz=FuzzPredictorVsReference -fuzztime=10s ./internal/oracle
 go test -run='^$' -fuzz=FuzzTraceRoundTrip -fuzztime=10s ./internal/oracle
 go test -run='^$' -fuzz=FuzzCharacterize -fuzztime=10s ./internal/charz
 go test -run='^$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s ./internal/snap
-go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/isa
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/asm
 go test -run='^$' -fuzz=FuzzCompile -fuzztime=10s ./internal/lang
 go test -run='^$' -fuzz=FuzzPostEvents -fuzztime=10s ./internal/serve

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -47,18 +49,50 @@ func TestQuickRunWritesReport(t *testing.T) {
 	if a := byName["allocs/feed/gshare:12:8"]; a.Value != 0 {
 		t.Errorf("gshare batch path allocates %.4f per event; want 0", a.Value)
 	}
-	if f, g := byName["feed/gshare:12:8/fast"], byName["feed/gshare:12:8/generic"]; f.Value <= g.Value {
-		t.Errorf("fast path (%.4g) not faster than generic (%.4g)", f.Value, g.Value)
+	// One 10 ms window can be preempted whole on a loaded machine, so each
+	// path's rate is its best over the report's window and a few more
+	// windows, measured alternating fast and generic.
+	fast, generic := byName["feed/gshare:12:8/fast"].Value, byName["feed/gshare:12:8/generic"].Value
+	window, err := suiteWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := sim.Parse("gshare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		for _, batch := range []bool{true, false} {
+			r, err := benchFeed(spec, window, 10*time.Millisecond, false, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch {
+				fast = max(fast, r.Value)
+			} else {
+				generic = max(generic, r.Value)
+			}
+		}
+	}
+	if fast <= generic {
+		t.Errorf("fast path (%.4g) not faster than generic (%.4g)", fast, generic)
 	}
 	if !strings.Contains(out.String(), "fast path") {
 		t.Error("summary output missing the fast-path speedup line")
 	}
 
-	// Self-comparison with a roomy threshold must pass.
-	out.Reset()
+	// Self-comparison with a roomy threshold must pass. A fresh run's row
+	// can lose its one 10 ms window the same way, so it gets a few tries.
 	args = []string{"-quick", "-mintime", "10ms", "-kinds", "gshare", "-serve=false", "-compare", path, "-threshold", "0.9"}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("self-comparison failed: %v\n%s", err, out.String())
+	for try := 1; ; try++ {
+		out.Reset()
+		err := run(args, &out)
+		if err == nil {
+			break
+		}
+		if try == 5 {
+			t.Fatalf("self-comparison failed %d times, last: %v\n%s", try, err, out.String())
+		}
 	}
 }
 

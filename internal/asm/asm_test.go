@@ -1,12 +1,15 @@
 package asm
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/emu"
 	"repro/internal/ifconv"
 	"repro/internal/isa"
+	"repro/internal/prog"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -239,4 +242,56 @@ func TestParsedProgramBehavesIdentically(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParsedProgramTracesIdentically pins that assembly text is lossless
+// for everything the experiments read: every workload, original and
+// if-converted, traces to the same P64T bytes after Format and Parse.
+func TestParsedProgramTracesIdentically(t *testing.T) {
+	for _, w := range workload.All() {
+		p := w.Build()
+		cp, _, err := ifconv.Convert(p, ifconv.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, c := range []struct {
+			name string
+			p    *prog.Program
+		}{{w.Name, p}, {w.Name + ".ifc", cp}} {
+			t.Run(c.name, func(t *testing.T) {
+				q, err := Parse(c.p.Name, Format(c.p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantBytes := collectP64T(t, c.p)
+				got, gotBytes := collectP64T(t, q)
+				if bytes.Equal(gotBytes, wantBytes) {
+					return
+				}
+				for i := range min(len(got.Events), len(want.Events)) {
+					if got.Events[i] != want.Events[i] {
+						t.Fatalf("event %d differs after round trip: got %+v, want %+v", i, got.Events[i], want.Events[i])
+					}
+				}
+				gotHead, wantHead := *got, *want
+				gotHead.Events, wantHead.Events = nil, nil
+				t.Fatalf("trace differs after round trip: got %d events, header %+v; want %d, header %+v",
+					len(got.Events), gotHead, len(want.Events), wantHead)
+			})
+		}
+	}
+}
+
+// collectP64T traces p and returns the trace with its P64T bytes.
+func collectP64T(t *testing.T, p *prog.Program) (*trace.Trace, []byte) {
+	t.Helper()
+	tr, err := trace.Collect(p, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return tr, buf.Bytes()
 }

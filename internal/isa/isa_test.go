@@ -208,135 +208,3 @@ func TestInstString(t *testing.T) {
 		}
 	}
 }
-
-// randomValidInst produces a structurally valid instruction from raw fuzz
-// inputs for the encode/decode round-trip property.
-func randomValidInst(op, qp, a, b, c, d, e uint8, imm int64, hasImm, region bool) Inst {
-	in := Inst{
-		Op: Op(op) % opMax,
-		QP: PReg(qp % NumPRegs),
-	}
-	switch in.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpSar, OpMul, OpDiv, OpMod:
-		in.Dst, in.Src1 = Reg(a%NumRegs), Reg(b%NumRegs)
-		if hasImm {
-			in.Imm, in.HasImm = imm, true
-		} else {
-			in.Src2 = Reg(c % NumRegs)
-		}
-	case OpMov:
-		in.Dst, in.Src1 = Reg(a%NumRegs), Reg(b%NumRegs)
-	case OpMovi:
-		in.Dst, in.Imm = Reg(a%NumRegs), imm
-	case OpCmp:
-		in.PD1 = PReg(d % NumPRegs)
-		in.PD2 = PReg(e % NumPRegs)
-		if in.PD1 == in.PD2 {
-			in.PD2 = (in.PD1 + 1) % NumPRegs
-		}
-		in.CC = CmpCond(a) % cmpCondMax
-		in.CT = CmpType(b) % cmpTypeMax
-		in.Src1 = Reg(c % NumRegs)
-		if hasImm {
-			in.Imm, in.HasImm = imm, true
-		} else {
-			in.Src2 = Reg(e % NumRegs)
-		}
-	case OpLd:
-		in.Dst, in.Src1, in.Imm = Reg(a%NumRegs), Reg(b%NumRegs), imm
-	case OpSt:
-		in.Src1, in.Src2, in.Imm = Reg(a%NumRegs), Reg(b%NumRegs), imm
-	case OpBr:
-		in.Target = int(uint32(imm))
-		in.Region = region
-	case OpBrl:
-		in.Dst = Reg(a % NumRegs)
-		in.Target = int(uint32(imm))
-	case OpBrr:
-		in.Src1 = Reg(a % NumRegs)
-	case OpCloop:
-		in.Dst = Reg(a % NumRegs)
-		in.Target = int(uint32(imm))
-		in.Region = region
-	case OpPand, OpPor:
-		in.PD1, in.PS1, in.PS2 = PReg(a%NumPRegs), PReg(b%NumPRegs), PReg(c%NumPRegs)
-	case OpPmov:
-		in.PD1, in.PS1 = PReg(a%NumPRegs), PReg(b%NumPRegs)
-	case OpPinit:
-		in.PD1, in.Imm = PReg(a%NumPRegs), imm&1
-	case OpOut:
-		in.Src1 = Reg(a % NumRegs)
-	case OpHalt:
-		in.Imm = imm
-	}
-	return in
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(op, qp, a, b, c, d, e uint8, imm int64, hasImm, region bool) bool {
-		in := randomValidInst(op, qp, a, b, c, d, e, imm, hasImm, region)
-		var buf [EncodedSize]byte
-		if err := in.Encode(buf[:]); err != nil {
-			t.Logf("encode error for %s: %v", in, err)
-			return false
-		}
-		out, err := Decode(buf[:])
-		if err != nil {
-			t.Logf("decode error for %s: %v", in, err)
-			return false
-		}
-		return out == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeAllDecodeAll(t *testing.T) {
-	insts := []Inst{
-		{Op: OpMovi, Dst: 1, Imm: 7},
-		{Op: OpCmp, CC: CmpGT, PD1: 1, PD2: 2, Src1: 1, Imm: 0, HasImm: true},
-		{Op: OpBr, QP: 2, Target: 4},
-		{Op: OpOut, Src1: 1},
-		{Op: OpHalt},
-	}
-	data, err := EncodeAll(insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != len(insts)*EncodedSize {
-		t.Fatalf("encoded length %d", len(data))
-	}
-	back, err := DecodeAll(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range insts {
-		if back[i] != insts[i] {
-			t.Errorf("inst %d round trip: got %+v want %+v", i, back[i], insts[i])
-		}
-	}
-	if _, err := DecodeAll(data[:5]); err == nil {
-		t.Error("DecodeAll accepted truncated input")
-	}
-}
-
-func TestEncodeErrors(t *testing.T) {
-	in := Inst{Op: OpBr, Label: "x", Target: -1}
-	var buf [EncodedSize]byte
-	if err := in.Encode(buf[:]); err == nil {
-		t.Error("encoding unresolved branch succeeded")
-	}
-	ok := Inst{Op: OpNop}
-	if err := ok.Encode(buf[:4]); err == nil {
-		t.Error("encoding into short buffer succeeded")
-	}
-	if _, err := Decode(buf[:4]); err == nil {
-		t.Error("decoding short buffer succeeded")
-	}
-	buf = [EncodedSize]byte{}
-	buf[0] = 240 // invalid opcode
-	if _, err := Decode(buf[:]); err == nil {
-		t.Error("decoding invalid opcode succeeded")
-	}
-}

@@ -86,9 +86,6 @@ func (b *Builder) Emit(in isa.Inst) *isa.Inst {
 	return &b.p.Insts[len(b.p.Insts)-1]
 }
 
-// Here returns the index of the next instruction to be emitted.
-func (b *Builder) Here() int { return len(b.p.Insts) }
-
 // Label binds name to the next instruction.
 func (b *Builder) Label(name string) {
 	if _, dup := b.p.Labels[name]; dup {

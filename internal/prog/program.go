@@ -54,7 +54,7 @@ func (p *Program) SetData(base int64, words []int64) {
 // idempotent; instructions with a resolved target and no label are left
 // alone. A re-resolution of an already-resolved program performs no
 // writes, so any number of goroutines may share one resolved program
-// (every construction path — Builder.Build, the assembler, deserialize —
+// (every construction path — Builder.Build and the assembler —
 // resolves before the program is published).
 func (p *Program) Resolve() error {
 	for i := range p.Insts {

@@ -71,15 +71,6 @@ func TestInt64nPanics(t *testing.T) {
 	New(1).Int64n(-1)
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	s := New(3)
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("negative Int63")
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(9)
 	for i := 0; i < 10000; i++ {

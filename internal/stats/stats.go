@@ -34,11 +34,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddNote appends a footnote rendered under the table.
-func (t *Table) AddNote(format string, args ...any) {
-	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
-}
-
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Columns))
 	for i, c := range t.Columns {

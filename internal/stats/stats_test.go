@@ -11,7 +11,7 @@ func sample() *Table {
 	t := NewTable("demo", "name", "value")
 	t.AddRow("alpha", "1")
 	t.AddRow("beta", "22")
-	t.AddNote("a note with %d", 42)
+	t.Notes = append(t.Notes, "a note with 42")
 	return t
 }
 

@@ -60,13 +60,3 @@ func ByNameMust(name string) Workload {
 	}
 	return w
 }
-
-// Names returns the sorted workload names.
-func Names() []string {
-	ws := All()
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
-	}
-	return names
-}

@@ -32,9 +32,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("no-such"); err == nil {
 		t.Error("ByName accepted unknown name")
 	}
-	if len(Names()) != len(ws) {
-		t.Error("Names length mismatch")
-	}
 }
 
 func TestAllWorkloadsRunAndHalt(t *testing.T) {
