@@ -86,15 +86,20 @@ rm -f "$covfile"
 
 echo "== fuzz smoke =="
 # Each fuzz target gets a short randomized run beyond its seed corpus;
-# -run='^$' skips the unit tests already run above.
-go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/sim
-go test -run='^$' -fuzz=FuzzPredictorVsReference -fuzztime=10s ./internal/oracle
-go test -run='^$' -fuzz=FuzzTraceRoundTrip -fuzztime=10s ./internal/oracle
-go test -run='^$' -fuzz=FuzzCharacterize -fuzztime=10s ./internal/charz
-go test -run='^$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s ./internal/snap
-go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/asm
-go test -run='^$' -fuzz=FuzzCompile -fuzztime=10s ./internal/lang
-go test -run='^$' -fuzz=FuzzPostEvents -fuzztime=10s ./internal/serve
+# -run='^$' skips the unit tests already run above. Minimizing a
+# new-coverage input defaults to 60 s, longer than the whole run: on
+# FuzzCharacterize's whole-trace seeds and FuzzPostEvents the workers
+# spent most of their 10 s minimizing at 0 execs/s. A 100-exec bound
+# keeps each run fuzzing (a 1 s bound still let minimizing eat most of
+# FuzzCharacterize's run).
+go test -run='^$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=100x ./internal/sim
+go test -run='^$' -fuzz=FuzzPredictorVsReference -fuzztime=10s -fuzzminimizetime=100x ./internal/oracle
+go test -run='^$' -fuzz=FuzzTraceRoundTrip -fuzztime=10s -fuzzminimizetime=100x ./internal/oracle
+go test -run='^$' -fuzz=FuzzCharacterize -fuzztime=10s -fuzzminimizetime=100x ./internal/charz
+go test -run='^$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s -fuzzminimizetime=100x ./internal/snap
+go test -run='^$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=100x ./internal/asm
+go test -run='^$' -fuzz=FuzzCompile -fuzztime=10s -fuzzminimizetime=100x ./internal/lang
+go test -run='^$' -fuzz=FuzzPostEvents -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 
 echo "== oracle =="
 go run ./cmd/oracle -events 100000

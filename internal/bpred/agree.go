@@ -44,9 +44,20 @@ type Agree struct {
 // NewAgree returns an agree predictor with 2^tableBits agree counters,
 // 2^tableBits BTB-resident bias bits, and histBits of global history.
 func NewAgree(tableBits, histBits int) *Agree {
-	a := &Agree{tableBits: tableBits, histBits: histBits}
-	a.Reset()
-	return a
+	sets := uint64(1)
+	if tableBits > 2 {
+		sets = 1 << (tableBits - 2)
+	}
+	return &Agree{
+		tableBits: tableBits,
+		histBits:  histBits,
+		// Counters initialise to weak agreement so an unbiased start
+		// predicts the bias.
+		table:   newCtrTable(tableBits, 2),
+		bias:    make([]biasEntry, sets*agreeWays),
+		rr:      make([]uint8, sets),
+		setMask: sets - 1,
+	}
 }
 
 // Name implements Predictor.
@@ -123,20 +134,9 @@ func (a *Agree) ObserveBit(bit bool) {
 
 // Reset implements Predictor.
 func (a *Agree) Reset() {
-	// Counters initialise to weak agreement so an unbiased start predicts
-	// the bias.
-	if a.table.words == nil {
-		a.table = newCtrTable(a.tableBits, 2)
-	} else {
-		a.table.reset()
-	}
-	sets := uint64(1)
-	if a.tableBits > 2 {
-		sets = 1 << (a.tableBits - 2)
-	}
-	a.setMask = sets - 1
-	a.bias = make([]biasEntry, sets*agreeWays)
-	a.rr = make([]uint8, sets)
+	a.table.clear()
+	clear(a.bias)
+	clear(a.rr)
 	a.hist = 0
 }
 

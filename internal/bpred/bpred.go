@@ -33,7 +33,9 @@ type Predictor interface {
 	// branch's actual outcome in one step, computing shared work (table
 	// indices, perceptron sums, bias lookups) once.
 	PredictUpdate(pc uint64, taken bool) bool
-	// Reset restores the initial state.
+	// Reset restores the state the constructor built, so one predictor
+	// can be reused for another run. Constructors already return that
+	// state: a fresh predictor needs no Reset.
 	Reset()
 }
 
@@ -108,7 +110,7 @@ func (b *Bimodal) PredictUpdate(pc uint64, taken bool) bool {
 }
 
 // Reset implements Predictor.
-func (b *Bimodal) Reset() { b.table.reset() }
+func (b *Bimodal) Reset() { b.table.clear() }
 
 // GShare is a two-level global predictor indexing its counter table with
 // pc XOR global-history.
@@ -154,7 +156,7 @@ func (g *GShare) ObserveBit(bit bool) {
 
 // Reset implements Predictor.
 func (g *GShare) Reset() {
-	g.table.reset()
+	g.table.clear()
 	g.hist = 0
 }
 
@@ -207,7 +209,7 @@ func (g *GSelect) ObserveBit(bit bool) {
 
 // Reset implements Predictor.
 func (g *GSelect) Reset() {
-	g.table.reset()
+	g.table.clear()
 	g.hist = 0
 }
 
@@ -250,7 +252,7 @@ func (g *GAg) ObserveBit(bit bool) {
 
 // Reset implements Predictor.
 func (g *GAg) Reset() {
-	g.table.reset()
+	g.table.clear()
 	g.hist = 0
 }
 
@@ -304,7 +306,7 @@ func (l *Local) PredictUpdate(pc uint64, taken bool) bool {
 // Reset implements Predictor.
 func (l *Local) Reset() {
 	clear(l.hists)
-	l.table.reset()
+	l.table.clear()
 }
 
 // Tournament is a McFarling combining predictor: a global (gshare) and a
@@ -366,7 +368,7 @@ func (t *Tournament) ObserveBit(bit bool) { t.global.ObserveBit(bit) }
 func (t *Tournament) Reset() {
 	t.global.Reset()
 	t.local.Reset()
-	t.chooser.reset()
+	t.chooser.clear()
 }
 
 // Compile-time interface checks.

@@ -18,37 +18,46 @@ import (
 // outcome stream.
 //
 // Layout: counter i lives in words[i>>5] at bit offset (i&31)*2, low bit
-// first. The canonical snapshot encoding stays one byte per counter
-// (appendState/loadState pack and unpack at the boundary), so P64S
+// first, stored XOR counterInit: the all-zero word is 32 weakly
+// not-taken counters, so a table fresh from make is already in its
+// initial state and construction writes nothing. The XOR flips only the
+// low bit, so the stored high bit is still the prediction (taken reads
+// it unchanged) and the update is the same shift into a constant
+// (ctrNext) as in the plain domain. The canonical snapshot encoding
+// stays one byte per counter holding the plain value (get and set undo
+// and redo the XOR at the appendState/loadState boundary), so P64S
 // snapshots, evict-to-disk, and cluster failover see byte-identical
-// state across the layout change.
+// state across both layout changes.
 type ctrTable struct {
 	words []uint64
 	mask  uint64 // counter-index mask: count-1 (count = 1<<bits)
-	init  uint64 // per-counter initial value, replicated by reset
+	fill  uint64 // stored word of a fresh table: 0 unless init != counterInit
 }
 
 // ctrPerWord counters fit one packed word.
 const ctrPerWord = 32
 
-// newCtrTable returns a table of 1<<bits counters all set to init.
+// newCtrTable returns a table of 1<<bits counters all set to init. For
+// the usual init, counterInit, the zeroed allocation is the whole job;
+// any other init (agree's weak agreement) costs one fill pass.
 func newCtrTable(bits int, init uint64) ctrTable {
 	n := uint64(1) << bits
 	t := ctrTable{
 		words: make([]uint64, (n+ctrPerWord-1)/ctrPerWord),
 		mask:  n - 1,
-		init:  init,
+		// Replicate the stored 2-bit init value across all 32 lanes.
+		fill: (init ^ counterInit) * 0x5555555555555555,
 	}
-	t.reset()
+	if t.fill != 0 {
+		t.clear()
+	}
 	return t
 }
 
-// reset restores every counter to the initial value.
-func (t *ctrTable) reset() {
-	// Replicate the 2-bit init value across all 32 lanes of a word.
-	pattern := t.init * 0x5555555555555555
+// clear restores every counter to the initial value.
+func (t *ctrTable) clear() {
 	for i := range t.words {
-		t.words[i] = pattern
+		t.words[i] = t.fill
 	}
 }
 
@@ -57,27 +66,29 @@ func (t *ctrTable) size() int { return int(t.mask + 1) }
 
 // get returns counter i (0..3).
 func (t *ctrTable) get(i uint64) uint64 {
-	return t.words[i/ctrPerWord] >> ((i % ctrPerWord) * 2) & 3
+	return t.words[i/ctrPerWord]>>((i%ctrPerWord)*2)&3 ^ counterInit
 }
 
 // set stores c (0..3) into counter i.
 func (t *ctrTable) set(i, c uint64) {
 	sh := (i % ctrPerWord) * 2
 	w := &t.words[i/ctrPerWord]
-	*w = *w&^(3<<sh) | c<<sh
+	*w = *w&^(3<<sh) | (c^counterInit)<<sh
 }
 
 // taken reports whether counter i predicts taken (value >= 2, i.e. the
-// counter's high bit).
+// counter's high bit, which the stored XOR leaves as it is).
 func (t *ctrTable) taken(i uint64) bool {
 	return t.words[i/ctrPerWord&uint64(len(t.words)-1)]>>(i%ctrPerWord*2)&2 != 0
 }
 
 // ctrNext is the whole saturating-update transition function as one
-// constant: entry (c<<1 | taken), 2 bits each, holds the next counter
-// value. It encodes 0,1 -> 0; 0 or 1,up -> +1; 2 or 3,down -> -1; 3,up
-// -> 3 — i.e. step toward taken, sticking at the rails.
-const ctrNext = 0<<0 | 1<<2 | 0<<4 | 2<<6 | 1<<8 | 3<<10 | 2<<12 | 3<<14
+// constant over stored values: entry (s<<1 | taken), 2 bits each, holds
+// the next stored value. In counter values (c = s^counterInit) it
+// encodes 0,1 -> 0; 0 or 1,up -> +1; 2 or 3,down -> -1; 3,up -> 3 —
+// i.e. step toward taken, sticking at the rails. Stored 0,1,2,3 are
+// counters 1,0,3,2.
+const ctrNext = 1<<0 | 3<<2 | 1<<4 | 0<<6 | 3<<8 | 2<<10 | 0<<12 | 2<<14
 
 // predictUpdate reads counter i's prediction and saturating-updates it
 // toward the outcome (up is the outcome bit, b2u(taken)) in one
@@ -96,10 +107,10 @@ func (t *ctrTable) predictUpdate(i, up uint64) bool {
 	w := &t.words[i/ctrPerWord&uint64(len(t.words)-1)]
 	sh := i % ctrPerWord * 2
 	word := *w
-	c := word >> sh & 3
-	nc := uint64(ctrNext) >> (c<<2 | up<<1) & 3
-	*w = word ^ (c^nc)<<sh
-	return c&2 != 0
+	s := word >> sh & 3 // stored value; its high bit is the counter's
+	ns := uint64(ctrNext) >> (s<<2 | up<<1) & 3
+	*w = word ^ (s^ns)<<sh
+	return s&2 != 0
 }
 
 // update trains counter i toward taken.

@@ -32,17 +32,17 @@ type Perceptron struct {
 // NewPerceptron returns a perceptron predictor with 2^entryBits weight
 // vectors over histBits of global history.
 func NewPerceptron(entryBits, histBits int) *Perceptron {
-	p := &Perceptron{
-		entryBits: entryBits,
-		histBits:  histBits,
-		// Smallest power-of-two stride holding the 1+histBits row:
-		// bits.Len(h) == ceil(log2(h+1)) for the h >= 0 we accept.
-		strideShift: uint(bits.Len(uint(histBits))),
+	// Smallest power-of-two stride holding the 1+histBits row:
+	// bits.Len(h) == ceil(log2(h+1)) for the h >= 0 we accept.
+	strideShift := uint(bits.Len(uint(histBits)))
+	return &Perceptron{
+		entryBits:   entryBits,
+		histBits:    histBits,
+		strideShift: strideShift,
 		idxMask:     1<<entryBits - 1,
+		weights:     make([]int8, (uint64(1)<<entryBits)<<strideShift),
 		theta:       int32(1.93*float64(histBits) + 14),
 	}
-	p.Reset()
-	return p
 }
 
 // Name implements Predictor.
@@ -134,12 +134,7 @@ func (p *Perceptron) ObserveBit(bit bool) {
 
 // Reset implements Predictor.
 func (p *Perceptron) Reset() {
-	n := (uint64(1) << p.entryBits) << p.strideShift
-	if p.weights == nil {
-		p.weights = make([]int8, n)
-	} else {
-		clear(p.weights)
-	}
+	clear(p.weights)
 	p.hist = 0
 }
 

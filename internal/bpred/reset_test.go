@@ -7,11 +7,13 @@ import (
 )
 
 // TestResetRestoresInitialBehaviour replays the same randomized stream
-// twice over every concrete predictor with a Reset between, injecting
-// history bits through ObserveBit where the predictor has an open
-// history. The second pass must predict identically to the first: any
-// state Reset fails to clear — a warm table entry, a stale history bit,
-// a leftover perceptron weight — shows up as a divergence.
+// twice over every concrete predictor, first fresh from its constructor
+// and then after a Reset, injecting history bits through ObserveBit
+// where the predictor has an open history. The second pass must predict
+// identically to the first: any state Reset fails to clear — a warm
+// table entry, a stale history bit, a leftover perceptron weight — or
+// any initial value it sets differently from the constructor shows up
+// as a divergence.
 func TestResetRestoresInitialBehaviour(t *testing.T) {
 	preds := []Predictor{
 		NewStatic(true),
@@ -29,7 +31,6 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			replay := func() []bool {
-				p.Reset()
 				r := rng.New(42)
 				obs, isObs := p.(HistoryObserver)
 				out := make([]bool, 0, 4000)
@@ -45,6 +46,7 @@ func TestResetRestoresInitialBehaviour(t *testing.T) {
 				return out
 			}
 			first := replay()
+			p.Reset()
 			second := replay()
 			for i := range first {
 				if first[i] != second[i] {

@@ -19,7 +19,9 @@ const DefaultPGUDelay = 2
 
 // EvalConfig configures a trace-driven predictor evaluation.
 type EvalConfig struct {
-	// Predictor is the baseline predictor; it is Reset before the run.
+	// Predictor is the baseline predictor. It must be freshly
+	// constructed or explicitly Reset: the evaluator trains it from the
+	// state it is given.
 	Predictor bpred.Predictor
 
 	// UseSFPF enables the squash false path filter.
@@ -191,7 +193,8 @@ type pendingBit struct {
 
 // Evaluate replays a trace through the configured predictor and
 // mechanisms and returns the resulting metrics: one Evaluator fed the
-// whole event slice in one FeedBatch.
+// whole event slice in one FeedBatch. cfg.Predictor must be freshly
+// constructed or explicitly Reset, as for NewEvaluator.
 func Evaluate(tr *trace.Trace, cfg EvalConfig) Metrics {
 	e := NewEvaluator(cfg)
 	e.FeedBatch(tr.Events)
@@ -216,11 +219,13 @@ type Evaluator struct {
 	m       Metrics
 }
 
-// NewEvaluator resets cfg.Predictor and prepares incremental evaluation
-// with exactly the semantics of Evaluate over the same event order.
+// NewEvaluator prepares incremental evaluation with exactly the
+// semantics of Evaluate over the same event order. cfg.Predictor must be
+// freshly constructed or explicitly Reset; the evaluator takes it as it
+// is, so a predictor already trained by another run carries that
+// training into this one.
 func NewEvaluator(cfg EvalConfig) *Evaluator {
 	p := cfg.Predictor
-	p.Reset()
 	e := &Evaluator{cfg: cfg, p: p}
 	// PGU needs a history to insert into: on a predictor without one
 	// (bimodal, local) the mechanism is a no-op, as it would be in

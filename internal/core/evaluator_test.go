@@ -112,3 +112,26 @@ func TestParsePGUPolicy(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNewEvaluator times building a predictor from its spec and an
+// evaluator around it: the construction layer every sweep job, harness
+// cell and serving session pays before its first event. The specs are
+// the sweep benchmark's four 2^22-counter geometries plus the default
+// tournament, so construction reads apart from the feed loop it
+// precedes.
+func BenchmarkNewEvaluator(b *testing.B) {
+	base := evalCfg()
+	for _, text := range []string{"gshare:22:16", "gselect:22:16", "bimodal:22", "tournament:22:16", "tournament:12:8"} {
+		spec := sim.MustParse(text)
+		b.Run(text, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := base
+				cfg.Predictor = spec.MustNew()
+				if NewEvaluator(cfg).Predictor() == nil {
+					b.Fatal("no predictor")
+				}
+			}
+		})
+	}
+}

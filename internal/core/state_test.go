@@ -74,6 +74,7 @@ func TestStateRoundTripNoPerBranch(t *testing.T) {
 	feedEvents(src, tr, len(tr.Events)/3)
 	blob := src.AppendState(nil)
 
+	cfg.Predictor = evalCfg().Predictor // src's predictor stays src's
 	dst := NewEvaluator(cfg)
 	if err := dst.LoadState(wire.NewCursor(blob)); err != nil {
 		t.Fatalf("LoadState: %v", err)

@@ -16,10 +16,11 @@ import (
 // its delay, and all the metric accounting, written from the definitions
 // rather than from the production code. It indexes the event slice
 // directly and keeps the delayed history bits in an explicit queue it
-// rescans from the front, trading speed for obviousness.
+// rescans from the front, trading speed for obviousness. Like
+// core.NewEvaluator it trains cfg.Predictor from the state it is given,
+// which must be fresh or Reset.
 func referenceEvaluate(tr *trace.Trace, cfg core.EvalConfig) core.Metrics {
 	p := cfg.Predictor
-	p.Reset()
 	obs, hasHistory := p.(bpred.HistoryObserver)
 	inserting := hasHistory && cfg.PGU != core.PGUOff
 

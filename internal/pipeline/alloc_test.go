@@ -44,6 +44,7 @@ func TestRunAllocsIndependentOfLength(t *testing.T) {
 			cfg := c.cfg()
 			var insts uint64
 			a := testing.AllocsPerRun(5, func() {
+				cfg.Predictor.Reset()
 				st, err := Replay(x, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -110,6 +111,7 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportAllocs()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
+		cfg.Predictor.Reset() // every run starts untrained, as in the harness
 		st, err := Run(p, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -129,6 +131,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
+		cfg.Predictor.Reset() // every replay starts untrained, as in the harness
 		st, err := Replay(x, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -34,7 +34,9 @@ import (
 
 // Config parameterises one timing run.
 type Config struct {
-	// Predictor supplies branch directions; it is Reset before the run.
+	// Predictor supplies branch directions. It must be freshly
+	// constructed or explicitly Reset: the run trains it from the state
+	// it is given.
 	Predictor bpred.Predictor
 
 	// UseSFPF enables the squash false path filter at fetch.
@@ -227,7 +229,6 @@ func Replay(x *record.Recording, cfg Config) (Stats, error) {
 	if cfg.Predictor == nil {
 		return Stats{}, fmt.Errorf("pipeline: no predictor configured")
 	}
-	cfg.Predictor.Reset()
 	insts := staticTable(x)
 	runErr := x.Err
 	if errors.Is(runErr, emu.ErrLimit) {

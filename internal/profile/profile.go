@@ -44,9 +44,10 @@ func (p *Profile) BlockExec(start int) uint64 {
 
 // Collect runs the program to completion, counting fetches per
 // instruction and mispredictions per conditional branch under the given
-// reference predictor (reset before use). A nil predictor defaults to
-// gshare 12/8. It records the run once (record.Program) and derives the
-// profile from the recording (FromRecording).
+// reference predictor (freshly constructed or explicitly Reset). A nil
+// predictor defaults to gshare 12/8. It records the run once
+// (record.Program) and derives the profile from the recording
+// (FromRecording).
 func Collect(pr *prog.Program, pred bpred.Predictor, limit uint64) (*Profile, error) {
 	x, err := record.Program(pr, limit)
 	if err != nil {
@@ -56,7 +57,8 @@ func Collect(pr *prog.Program, pred bpred.Predictor, limit uint64) (*Profile, er
 }
 
 // FromRecording derives the profile of a recorded run under the given
-// reference predictor (reset before use; nil defaults to gshare 12/8):
+// reference predictor (freshly constructed or explicitly Reset; nil
+// defaults to gshare 12/8):
 // the profile Collect returns for the same program and limit. A
 // recording that ended in a limit stop or a fault is returned as the
 // error, prefixed "profile: ".
@@ -67,7 +69,6 @@ func FromRecording(x *record.Recording, pred bpred.Predictor) (*Profile, error) 
 	if pred == nil {
 		pred = bpred.NewGShare(12, 8)
 	}
-	pred.Reset()
 	n := len(x.Insts)
 	p := &Profile{
 		Exec:       make([]uint64, n),

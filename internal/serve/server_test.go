@@ -377,6 +377,7 @@ func TestEvaluateCtx(t *testing.T) {
 		PGU: core.PGUAll, PGUDelay: core.DefaultPGUDelay,
 	}
 	want := core.Evaluate(tr, cfg)
+	cfg.Predictor = sim.For("gshare", 12, 8).MustNew() // each run trains its own
 	got, err := evaluateCtx(context.Background(), tr, cfg)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("chunked evaluation: err %v, metrics %+v; want %+v", err, got, want)

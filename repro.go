@@ -166,11 +166,13 @@ func CollectTrace(p *Program, limit uint64) (*Trace, error) {
 }
 
 // Evaluate replays a trace through a predictor with the configured paper
-// mechanisms.
+// mechanisms. The predictor must be freshly constructed or explicitly
+// Reset: Evaluate trains it from the state it is given.
 func Evaluate(tr *Trace, cfg EvalConfig) Metrics { return core.Evaluate(tr, cfg) }
 
 // NewEvaluator returns an incremental evaluator for streaming consumers
-// (see Evaluator).
+// (see Evaluator). As for Evaluate, the predictor must be freshly
+// constructed or explicitly Reset.
 func NewEvaluator(cfg EvalConfig) *Evaluator { return core.NewEvaluator(cfg) }
 
 // ParsePGUPolicy reads the textual PGU policy spelling ("off", "region",
