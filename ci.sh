@@ -147,11 +147,11 @@ go build -o "$statsdir" ./cmd/experiments ./cmd/bpstats
 rm -rf "$statsdir"
 
 echo "== serve smoke =="
-# Boot the daemon on a random port, walk every endpoint with bpload
-# -smoke (create session, post batches in both wire formats, read
-# metrics, sweep, delete with a byte-identical metrics check), push a
-# short concurrent load with verification, then require a clean
-# SIGTERM shutdown.
+# Boot the daemon on a random port, walk the API with bpload -smoke
+# (health, predictor listing, create session, post two P64T batches,
+# read metrics, delete with a byte-identical metrics check, /metrics
+# families), push a short concurrent load with verification, then
+# require a clean SIGTERM shutdown.
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"; kill "$servepid" 2>/dev/null || true' EXIT
 go build -o "$smokedir" ./cmd/bpservd ./cmd/bpload

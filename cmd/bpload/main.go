@@ -10,7 +10,7 @@
 // Usage:
 //
 //	bpload -addr 127.0.0.1:8080 -sessions 8 -events 1000000
-//	bpload -addr 127.0.0.1:8080 -smoke        # one pass over every endpoint
+//	bpload -addr 127.0.0.1:8080 -smoke        # one pass over the API
 //
 // Cluster mode points bpload at a bprouter front tier instead of a single
 // backend: sessions get explicit IDs (so the ring owns their placement),
@@ -537,9 +537,9 @@ func compareMetrics(got serve.MetricsJSON, want core.Metrics) error {
 	return nil
 }
 
-// runSmoke exercises every endpoint once: listings, the full session
-// lifecycle over both wire formats with a byte-identical metrics check,
-// a sweep, and the /metrics families. Any failure is fatal.
+// runSmoke walks the API once: health, the predictor listing, the full
+// session lifecycle over two P64T batches with a byte-identical metrics
+// check, and the /metrics families. Any failure is fatal.
 func runSmoke(ctx context.Context, c *serve.Client, out io.Writer, spec, wname string) error {
 	step := func(name string, err error) error {
 		if err != nil {
@@ -559,10 +559,6 @@ func runSmoke(ctx context.Context, c *serve.Client, out io.Writer, spec, wname s
 	if err := step("predictors", err); err != nil {
 		return err
 	}
-	_, err = c.Workloads(ctx)
-	if err := step("workloads", err); err != nil {
-		return err
-	}
 
 	tr, err := collectTrace(wname, true, 0)
 	if err != nil {
@@ -575,26 +571,21 @@ func runSmoke(ctx context.Context, c *serve.Client, out io.Writer, spec, wname s
 		return err
 	}
 
-	// JSON batch: the first events, verbatim.
+	// Two batches: the first quarter of the trace, then the rest plus
+	// the instruction credit.
 	cut := len(tr.Events) / 4
-	jsonBatch := serve.BatchRequest{Events: make([]serve.EventJSON, cut)}
-	for i := 0; i < cut; i++ {
-		jsonBatch.Events[i] = serve.EventToJSON(&tr.Events[i])
-	}
-	br, err := c.FeedJSON(ctx, sess.ID, jsonBatch)
+	br, err := c.Feed(ctx, sess.ID, serve.EncodeBatch(tr.Events[:cut], 0), 0, "")
 	if err == nil && br.Events != cut {
 		err = fmt.Errorf("acked %d events, want %d", br.Events, cut)
 	}
-	if err := step("post JSON batch", err); err != nil {
+	if err := step("post first batch", err); err != nil {
 		return err
 	}
-
-	// Binary batch: the rest of the trace plus the instruction credit.
 	br, err = c.Feed(ctx, sess.ID, serve.EncodeBatch(tr.Events[cut:], tr.Insts), 0, "")
 	if err == nil && br.TotalEvents != uint64(len(tr.Events)) {
 		err = fmt.Errorf("session total %d events, want %d", br.TotalEvents, len(tr.Events))
 	}
-	if err := step("post binary batch", err); err != nil {
+	if err := step("post last batch", err); err != nil {
 		return err
 	}
 
@@ -603,21 +594,6 @@ func runSmoke(ctx context.Context, c *serve.Client, out io.Writer, spec, wname s
 		err = fmt.Errorf("no metrics in session read")
 	}
 	if err := step("read metrics", err); err != nil {
-		return err
-	}
-
-	sweep, err := c.Sweep(ctx, serve.SweepRequest{
-		Specs: []string{spec, "bimodal:10"}, Workload: wname,
-		Convert: true, EvalOptions: opts,
-	})
-	if err == nil {
-		if len(sweep.Rows) != 2 {
-			err = fmt.Errorf("sweep returned %d rows, want 2", len(sweep.Rows))
-		} else if sweep.Rows[0].Metrics.Branches == 0 {
-			err = fmt.Errorf("sweep row has zero branches")
-		}
-	}
-	if err := step("sweep", err); err != nil {
 		return err
 	}
 

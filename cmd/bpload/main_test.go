@@ -35,8 +35,8 @@ func TestSmokeSequence(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"ok healthz", "ok create session", "ok post JSON batch",
-		"ok post binary batch", "ok read metrics", "ok sweep",
+		"ok healthz", "ok predictors", "ok create session",
+		"ok post first batch", "ok post last batch", "ok read metrics",
 		"ok delete and verify", "ok metrics families", "smoke passed",
 	} {
 		if !strings.Contains(out, want) {

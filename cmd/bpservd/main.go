@@ -1,5 +1,5 @@
 // Command bpservd serves the simulation engine over HTTP:
-// prediction-as-a-service sessions, sweep evaluation, and /metrics
+// prediction-as-a-service sessions fed P64T event batches, and /metrics
 // observability (see internal/serve).
 //
 // Usage:
@@ -47,8 +47,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxBody := fs.Int64("max-body", 64<<20, "request body size cap in bytes")
 	rate := fs.Float64("rate", 0, "API requests per second (0 = unlimited)")
 	burst := fs.Int("burst", 128, "rate limiter burst")
-	sweepTimeout := fs.Duration("sweep-timeout", 30*time.Second, "default sweep deadline")
-	sweepWorkers := fs.Int("sweep-workers", 0, "sweep fan-out (0 = GOMAXPROCS)")
 	spill := fs.String("spill", "", "spill directory: evicted/expired/shutdown sessions are snapshotted here and warm-restored on touch (empty disables)")
 	slow := fs.Duration("slow-request", 500*time.Millisecond, "log a structured slow_request line for requests over this latency (0 disables)")
 	portfile := fs.String("portfile", "", "write the bound address to this file once listening")
@@ -79,8 +77,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxBody:         *maxBody,
 		RatePerSec:      *rate,
 		RateBurst:       *burst,
-		SweepTimeout:    *sweepTimeout,
-		SweepWorkers:    *sweepWorkers,
 		SpillDir:        *spill,
 		SlowRequest:     *slow,
 		Logger:          logger,

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/router"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 func doJSON(t *testing.T, method, url string, body any, wantCode int) {
@@ -45,17 +46,14 @@ func doJSON(t *testing.T, method, url string, body any, wantCode int) {
 	}
 }
 
-func batch(outcomes map[uint64][]bool, order []uint64) serve.BatchRequest {
-	var req serve.BatchRequest
-	step := uint64(0)
+func batch(outcomes map[uint32][]bool, order []uint32) []byte {
+	var events []trace.Event
 	for _, pc := range order {
 		for _, tk := range outcomes[pc] {
-			step++
-			req.Events = append(req.Events, serve.EventJSON{Kind: "branch", Step: step, PC: pc, Taken: tk})
+			events = append(events, trace.Event{Kind: trace.KindBranch, Step: uint64(len(events) + 1), PC: pc, Flags: trace.FlagTaken.If(tk)})
 		}
 	}
-	req.Insts = step
-	return req
+	return serve.EncodeBatch(events, uint64(len(events)))
 }
 
 // TestOnceAgainstFleet stands up a real two-backend cluster behind a
@@ -88,23 +86,25 @@ func TestOnceAgainstFleet(t *testing.T) {
 	seed := []struct {
 		base     string
 		id       string
-		outcomes map[uint64][]bool
-		order    []uint64
+		outcomes map[uint32][]bool
+		order    []uint32
 	}{
-		{backends[0].URL, "h2p-a", map[uint64][]bool{
+		{backends[0].URL, "h2p-a", map[uint32][]bool{
 			0x100: {true, false, false, true, false},
 			0x300: {true, true, true},
-		}, []uint64{0x100, 0x300}},
-		{backends[1].URL, "h2p-b", map[uint64][]bool{
+		}, []uint32{0x100, 0x300}},
+		{backends[1].URL, "h2p-b", map[uint32][]bool{
 			0x100: {false, false},
 			0x200: {false, true, false, false},
-		}, []uint64{0x100, 0x200}},
+		}, []uint32{0x100, 0x200}},
 	}
 	for _, sd := range seed {
 		doJSON(t, "POST", sd.base+"/v1/sessions",
 			serve.SessionRequest{ID: sd.id, Spec: "taken", EvalOptions: serve.EvalOptions{PerBranch: true}},
 			http.StatusCreated)
-		doJSON(t, "POST", sd.base+"/v1/sessions/"+sd.id+"/events", batch(sd.outcomes, sd.order), http.StatusOK)
+		if _, err := serve.NewClient(sd.base, nil).Feed(context.Background(), sd.id, batch(sd.outcomes, sd.order), 0, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Give the router some traffic so its latency histogram has data.
 	doJSON(t, "GET", front.URL+"/v1/sessions", nil, http.StatusOK)

@@ -193,7 +193,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.Handle("GET /v1/sessions", rt.edge.Wrap("list_sessions", rt.handleList))
 	rt.mux.Handle("/v1/sessions/{id}", rt.edge.Wrap("session", rt.handleProxy))
 	rt.mux.Handle("/v1/sessions/{id}/{rest...}", rt.edge.Wrap("session", rt.handleProxy))
-	rt.mux.Handle("/v1/", rt.edge.Wrap("proxy", rt.handleProxy)) // sweeps, predictors, workloads
+	rt.mux.Handle("/v1/", rt.edge.Wrap("proxy", rt.handleProxy)) // predictors, unknown paths
 	rt.mux.Handle("GET /healthz", rt.edge.Wrap("healthz", rt.handleHealthz))
 	rt.mux.Handle("GET /metrics", rt.edge.Wrap("metrics", rt.handleMetrics))
 	rt.mux.Handle("POST /admin/drain", rt.edge.Wrap("drain", rt.handleDrain))
@@ -373,9 +373,9 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleProxy forwards a request with its buffered body: per-session
 // endpoints (events, metrics, snapshot, restore, delete) to the ring
-// owner of the path's session ID, anything else (sweeps, predictors,
-// workloads) to the owner of a random key, which spreads stateless
-// requests across the fleet.
+// owner of the path's session ID, anything else (the predictor listing,
+// and unknown paths, which the backend answers 404) to the owner of a
+// random key, which spreads stateless requests across the fleet.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/ifconv"
 	"repro/internal/serve"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -69,22 +70,30 @@ func newCluster(t *testing.T, n int, spill string) *cluster {
 	return c
 }
 
+// doJSON sends body (none if nil, a []byte verbatim as a binary body,
+// anything else encoded as JSON), requires wantCode, and decodes the
+// JSON reply into out if non-nil.
 func doJSON(t *testing.T, method, url string, body any, wantCode int, out any) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
+	contentType := "application/json"
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd, contentType = bytes.NewReader(b), "application/octet-stream"
+	default:
+		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
+		rd = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -111,24 +120,12 @@ func createSession(t *testing.T, base, id string) serve.SessionJSON {
 	return sess
 }
 
-func feedBatch(t *testing.T, base, id string, events []serve.EventJSON, seq uint64) serve.BatchResponse {
+func feedBatch(t *testing.T, base, id string, events []trace.Event, seq uint64) serve.BatchResponse {
 	t.Helper()
 	var resp serve.BatchResponse
-	doJSON(t, "POST", fmt.Sprintf("%s/v1/sessions/%s/events", base, id),
-		serve.BatchRequest{Events: events, Seq: seq}, http.StatusOK, &resp)
+	doJSON(t, "POST", fmt.Sprintf("%s/v1/sessions/%s/events?seq=%d", base, id, seq),
+		serve.EncodeBatch(events, 0), http.StatusOK, &resp)
 	return resp
-}
-
-func jsonEvents(n int) []serve.EventJSON {
-	tr := testTrace()
-	if n > len(tr.Events) {
-		n = len(tr.Events)
-	}
-	out := make([]serve.EventJSON, n)
-	for i := 0; i < n; i++ {
-		out[i] = serve.EventToJSON(&tr.Events[i])
-	}
-	return out
 }
 
 // TestRingDeterminismAndSpread: the ring must give every ID a stable
@@ -163,7 +160,7 @@ func TestSessionAffinity(t *testing.T) {
 	if sess.ID == "" {
 		t.Fatal("router did not assign an id")
 	}
-	events := jsonEvents(200)
+	events := testTrace().Events[:200]
 	feedBatch(t, c.front.URL, sess.ID, events, 1)
 	feedBatch(t, c.front.URL, sess.ID, events, 2)
 
@@ -212,7 +209,7 @@ func TestFailoverWithSharedSpill(t *testing.T) {
 	spill := t.TempDir()
 	c := newCluster(t, 2, spill)
 	sess := createSession(t, c.front.URL, "failover-1")
-	events := jsonEvents(300)
+	events := testTrace().Events[:300]
 
 	feedBatch(t, c.front.URL, sess.ID, events[:100], 1)
 
@@ -250,7 +247,7 @@ func TestFailoverWithSharedSpill(t *testing.T) {
 // the other backend with identical state, via snapshot/restore.
 func TestDrainMigratesSessions(t *testing.T) {
 	c := newCluster(t, 2, "")
-	events := jsonEvents(250)
+	events := testTrace().Events[:250]
 
 	// Create sessions until both backends hold at least one.
 	perBackend := map[string][]string{}
@@ -329,7 +326,7 @@ func TestDrainCountsFailedDelete(t *testing.T) {
 		t.Cleanup(func() { ts.Close(); s.Close() })
 		urls = append(urls, ts.URL)
 	}
-	var logBuf bytes.Buffer
+	var logBuf testutil.LogBuffer
 	rt, err := New(Config{Backends: urls, HealthEvery: time.Hour, Logger: log.New(&logBuf, "", 0)})
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +366,15 @@ func TestDrainCountsFailedDelete(t *testing.T) {
 		if !strings.Contains(logBuf.String(), "migrate "+id+" off "+victim.URL) {
 			t.Errorf("no failure logged for %s:\n%s", id, logBuf.String())
 		}
+	}
+}
+
+// TestRemovedEndpoints: the backends' removed sweep and workload-listing
+// endpoints answer 404 through the router too.
+func TestRemovedEndpoints(t *testing.T) {
+	c := newCluster(t, 2, "")
+	for _, ep := range []struct{ method, name string }{{"POST", "sweep"}, {"GET", "workloads"}} {
+		doJSON(t, ep.method, c.front.URL+"/v1/"+ep.name, nil, http.StatusNotFound, nil)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/testutil"
 )
 
 // TestScrapeLint drives traffic through the router, then requires the
@@ -74,12 +75,12 @@ func TestScrapeLint(t *testing.T) {
 // the router hop into the backend's logs, and that the router both logs
 // it and echoes it on the response.
 func TestRequestIDAcrossTiers(t *testing.T) {
-	var backendLog bytes.Buffer
+	var backendLog testutil.LogBuffer
 	s := serve.MustNew(serve.Config{Shards: 1, Logger: log.New(&backendLog, "", 0)})
 	bts := httptest.NewServer(s.Handler())
 	defer func() { bts.Close(); s.Close() }()
 
-	var routerLog bytes.Buffer
+	var routerLog testutil.LogBuffer
 	rt, err := New(Config{Backends: []string{bts.URL}, HealthEvery: time.Hour, Logger: log.New(&routerLog, "", 0)})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func TestRequestIDAcrossTiers(t *testing.T) {
 	if !strings.Contains(string(body), `"request_id":"xtier-rid-7"`) {
 		t.Errorf("backend error envelope through router misses request_id: %s", body)
 	}
-	for name, buf := range map[string]*bytes.Buffer{"router": &routerLog, "backend": &backendLog} {
+	for name, buf := range map[string]*testutil.LogBuffer{"router": &routerLog, "backend": &backendLog} {
 		if !strings.Contains(buf.String(), "rid=xtier-rid-7") {
 			t.Errorf("%s log misses rid: %s", name, buf.String())
 		}
@@ -167,11 +168,11 @@ func TestUpstreamSeriesPerBackend(t *testing.T) {
 
 // newLoggedRouter fronts one in-process backend with a router built
 // from cfg, logging into the returned buffer.
-func newLoggedRouter(t *testing.T, cfg Config) (front string, logBuf *bytes.Buffer) {
+func newLoggedRouter(t *testing.T, cfg Config) (front string, logBuf *testutil.LogBuffer) {
 	t.Helper()
 	s := serve.MustNew(serve.Config{Shards: 1})
 	bts := httptest.NewServer(s.Handler())
-	logBuf = new(bytes.Buffer)
+	logBuf = new(testutil.LogBuffer)
 	cfg.Backends = []string{bts.URL}
 	cfg.HealthEvery = time.Hour
 	cfg.Logger = log.New(logBuf, "", 0)

@@ -2,21 +2,19 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/isa"
-	"repro/internal/trace"
 )
 
-// Wire types for the JSON API. The binary alternative for event batches
-// and sweep uploads is the P64T trace format (internal/trace), selected
-// by Content-Type: application/octet-stream.
+// Wire types for the JSON control plane: request and reply bodies of
+// every endpoint except the two binary ones. Event batches travel only
+// as P64T traces (internal/trace) and snapshots as P64S blobs
+// (internal/snap).
 
-// EvalOptions are the mechanism knobs shared by session creation and
-// sweep requests; they mirror core.EvalConfig minus the predictor.
+// EvalOptions are the mechanism knobs of session creation; they mirror
+// core.EvalConfig minus the predictor.
 type EvalOptions struct {
 	SFPF          bool    `json:"sfpf,omitempty"`
 	FilterTrue    bool    `json:"filter_true,omitempty"`
@@ -92,78 +90,6 @@ func sessionJSON(inf *SessionInfo, withMetrics bool) SessionJSON {
 type SessionList struct {
 	Count    int           `json:"count"`
 	Sessions []SessionJSON `json:"sessions"`
-}
-
-// EventJSON is the wire form of one trace event.
-type EventJSON struct {
-	Kind string `json:"kind"` // "branch" | "preddef"
-	Step uint64 `json:"step"`
-	PC   uint64 `json:"pc"`
-
-	Taken             bool   `json:"taken,omitempty"`
-	Guard             uint8  `json:"guard,omitempty"`
-	GuardVal          bool   `json:"guard_val,omitempty"`
-	GuardDist         uint64 `json:"guard_dist,omitempty"`
-	Region            bool   `json:"region,omitempty"`
-	GuardImpliesTaken bool   `json:"guard_implies_taken,omitempty"`
-
-	Executed          bool `json:"executed,omitempty"`
-	Value             bool `json:"value,omitempty"`
-	FeedsBranch       bool `json:"feeds_branch,omitempty"`
-	FeedsRegionBranch bool `json:"feeds_region_branch,omitempty"`
-}
-
-// EventToJSON converts a trace event to its wire form.
-func EventToJSON(ev *trace.Event) EventJSON {
-	kind := "branch"
-	if ev.Kind == trace.KindPredDef {
-		kind = "preddef"
-	}
-	return EventJSON{
-		Kind: kind, Step: ev.Step, PC: uint64(ev.PC),
-		Taken: ev.Taken(), Guard: uint8(ev.Guard), GuardVal: ev.GuardVal(),
-		GuardDist: ev.GuardDist, Region: ev.Region(),
-		GuardImpliesTaken: ev.GuardImpliesTaken(),
-		Executed:          ev.Executed(), Value: ev.Value(),
-		FeedsBranch: ev.FeedsBranch(), FeedsRegionBranch: ev.FeedsRegionBranch(),
-	}
-}
-
-// Event converts the wire form back to a trace event. A PC must fit the
-// event's 32 bits, as it must in the binary form.
-func (e EventJSON) Event() (trace.Event, error) {
-	if e.PC > math.MaxUint32 {
-		return trace.Event{}, fmt.Errorf("pc %#x does not fit 32 bits", e.PC)
-	}
-	ev := trace.Event{
-		Step: e.Step, PC: uint32(e.PC), Guard: isa.PReg(e.Guard), GuardDist: e.GuardDist,
-		Flags: trace.FlagTaken.If(e.Taken) | trace.FlagGuardVal.If(e.GuardVal) |
-			trace.FlagRegion.If(e.Region) | trace.FlagGuardImpliesTaken.If(e.GuardImpliesTaken) |
-			trace.FlagExecuted.If(e.Executed) | trace.FlagValue.If(e.Value) |
-			trace.FlagFeedsBranch.If(e.FeedsBranch) | trace.FlagFeedsRegionBranch.If(e.FeedsRegionBranch),
-	}
-	switch e.Kind {
-	case "branch":
-		ev.Kind = trace.KindBranch
-	case "preddef":
-		ev.Kind = trace.KindPredDef
-	default:
-		return trace.Event{}, fmt.Errorf("unknown event kind %q (branch, preddef)", e.Kind)
-	}
-	return ev, nil
-}
-
-// BatchRequest feeds events into a session (JSON form). Insts credits
-// dynamic instructions executed over the batch, so MPKI stays meaningful.
-// Seq, when nonzero, numbers the batch in a per-session monotonically
-// increasing sequence (1, 2, 3, ...): a batch at or below the session's
-// last applied seq is acknowledged without being re-applied, making
-// client retries after a failover exactly-once; a gap is refused with
-// 409. The binary form passes ?seq=N instead.
-type BatchRequest struct {
-	Events []EventJSON `json:"events"`
-	Insts  uint64      `json:"insts,omitempty"`
-	Seq    uint64      `json:"seq,omitempty"`
 }
 
 // BatchResponse acknowledges an accepted batch. Duplicate marks a
@@ -300,37 +226,6 @@ func sessionStatsJSON(inf *SessionInfo, rep core.BranchReport, perBranch bool) S
 		}
 	}
 	return out
-}
-
-// SweepRequest evaluates a grid of predictor specs over one workload
-// trace (named workload in the JSON form; an uploaded P64T trace in the
-// binary form, with specs and options in query parameters).
-type SweepRequest struct {
-	Specs     []string `json:"specs"`
-	Workload  string   `json:"workload,omitempty"`
-	Convert   bool     `json:"convert,omitempty"`
-	Limit     uint64   `json:"limit,omitempty"`
-	TimeoutMS int      `json:"timeout_ms,omitempty"`
-	EvalOptions
-}
-
-// SweepRow is one grid point's result.
-type SweepRow struct {
-	Spec    string      `json:"spec"`
-	Metrics MetricsJSON `json:"metrics"`
-}
-
-// SweepResponse carries the whole grid, in spec order.
-type SweepResponse struct {
-	Workload string     `json:"workload"`
-	Events   int        `json:"events"`
-	Rows     []SweepRow `json:"rows"`
-}
-
-// WorkloadJSON describes one built-in workload.
-type WorkloadJSON struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
 }
 
 // PredictorsResponse lists the registry's predictor kinds.

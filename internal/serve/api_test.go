@@ -6,49 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/isa"
-	"repro/internal/trace"
 )
-
-func TestEventJSONRoundTrip(t *testing.T) {
-	events := []trace.Event{
-		{
-			Kind: trace.KindBranch, Step: 42, PC: 0x1234,
-			Flags: trace.FlagTaken | trace.FlagGuardVal | trace.FlagRegion | trace.FlagGuardImpliesTaken,
-			Guard: isa.PReg(3), GuardDist: 17,
-		},
-		{
-			Kind: trace.KindPredDef, Step: 43, PC: 0x1238,
-			Guard: isa.PReg(5),
-			Flags: trace.FlagExecuted | trace.FlagValue | trace.FlagFeedsBranch | trace.FlagFeedsRegionBranch,
-		},
-		{Kind: trace.KindBranch, Step: 0, PC: 0}, // zero-valued fields survive
-	}
-	for i := range events {
-		wire := EventToJSON(&events[i])
-		blob, err := json.Marshal(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back EventJSON
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Event()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != events[i] {
-			t.Errorf("event %d round trip:\n got %+v\nwant %+v", i, got, events[i])
-		}
-	}
-}
-
-func TestEventJSONBadKind(t *testing.T) {
-	if _, err := (EventJSON{Kind: "jump"}).Event(); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
 
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	m := core.Metrics{

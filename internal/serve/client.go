@@ -139,11 +139,6 @@ func (c *Client) Predictors(ctx context.Context) (PredictorsResponse, error) {
 	return callJSON[PredictorsResponse](ctx, c, http.MethodGet, "/v1/predictors", nil)
 }
 
-// Workloads lists the built-in and catalog workloads.
-func (c *Client) Workloads(ctx context.Context) ([]WorkloadJSON, error) {
-	return callJSON[[]WorkloadJSON](ctx, c, http.MethodGet, "/v1/workloads", nil)
-}
-
 // Create creates a session.
 func (c *Client) Create(ctx context.Context, req SessionRequest) (SessionJSON, error) {
 	return callJSON[SessionJSON](ctx, c, http.MethodPost, "/v1/sessions", req)
@@ -168,11 +163,6 @@ func (c *Client) Feed(ctx context.Context, id string, batch []byte, seq uint64, 
 	return call[BatchResponse](ctx, c, http.MethodPost, path, "application/octet-stream", rid, batch)
 }
 
-// FeedJSON posts one batch in the JSON form.
-func (c *Client) FeedJSON(ctx context.Context, id string, req BatchRequest) (BatchResponse, error) {
-	return callJSON[BatchResponse](ctx, c, http.MethodPost, "/v1/sessions/"+id+"/events", req)
-}
-
 // Get returns session id with its metrics.
 func (c *Client) Get(ctx context.Context, id string) (SessionJSON, error) {
 	return callJSON[SessionJSON](ctx, c, http.MethodGet, "/v1/sessions/"+id, nil)
@@ -192,9 +182,4 @@ func (c *Client) Snapshot(ctx context.Context, id string) ([]byte, error) {
 // Restore installs a P64S snapshot as session id.
 func (c *Client) Restore(ctx context.Context, id string, blob []byte) (SessionJSON, error) {
 	return call[SessionJSON](ctx, c, http.MethodPost, "/v1/sessions/"+id+"/restore", "application/octet-stream", "", blob)
-}
-
-// Sweep evaluates a grid of predictor specs over a named workload.
-func (c *Client) Sweep(ctx context.Context, req SweepRequest) (SweepResponse, error) {
-	return callJSON[SweepResponse](ctx, c, http.MethodPost, "/v1/sweep", req)
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestClientEndpoints calls every Client method against a live server:
-// the session lifecycle in both batch forms with a redelivered batch, a
-// snapshot restored after the delete, the listings, a sweep and the
-// metrics page.
+// the session lifecycle in two batches with a redelivered batch, a
+// snapshot restored after the delete, the listings and the metrics
+// page.
 func TestClientEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Shards: 2})
 	c := NewClient(ts.URL+"/", ts.Client()) // a trailing slash is trimmed
@@ -25,25 +25,18 @@ func TestClientEndpoints(t *testing.T) {
 	if preds, err := c.Predictors(ctx); err != nil || len(preds.Kinds) == 0 {
 		t.Fatalf("predictors: %+v, %v", preds, err)
 	}
-	if ws, err := c.Workloads(ctx); err != nil || len(ws) == 0 {
-		t.Fatalf("workloads: %d, %v", len(ws), err)
-	}
 	sess, err := c.Create(ctx, SessionRequest{ID: "cl-1", Spec: "gshare:12:8", EvalOptions: testEvalOptions()})
 	if err != nil || sess.ID != "cl-1" {
 		t.Fatalf("create: %+v, %v", sess, err)
 	}
-	jsonBatch := BatchRequest{Events: make([]EventJSON, half), Seq: 1}
-	for i := range jsonBatch.Events {
-		jsonBatch.Events[i] = EventToJSON(&tr.Events[i])
-	}
-	if br, err := c.FeedJSON(ctx, sess.ID, jsonBatch); err != nil || br.Events != half {
-		t.Fatalf("JSON feed: %+v, %v", br, err)
+	if br, err := c.Feed(ctx, sess.ID, EncodeBatch(tr.Events[:half], 0), 1, ""); err != nil || br.Events != half {
+		t.Fatalf("first feed: %+v, %v", br, err)
 	}
 	blob := EncodeBatch(tr.Events[half:], tr.Insts)
 	for _, wantDup := range []bool{false, true} { // the second post is a redelivery
 		br, err := c.Feed(ctx, sess.ID, blob, 2, "cl-rid")
 		if err != nil || br.Duplicate != wantDup || br.TotalEvents != uint64(len(tr.Events)) {
-			t.Fatalf("binary feed (redelivery %v): %+v, %v", wantDup, br, err)
+			t.Fatalf("second feed (redelivery %v): %+v, %v", wantDup, br, err)
 		}
 	}
 	got, err := c.Get(ctx, sess.ID)
@@ -71,10 +64,6 @@ func TestClientEndpoints(t *testing.T) {
 		t.Fatalf("restored session: %+v, %v; want %d mispredicts", again.Metrics, err, want.Mispredicts)
 	}
 
-	sweep, err := c.Sweep(ctx, SweepRequest{Specs: []string{"bimodal:10"}, Workload: "scan"})
-	if err != nil || len(sweep.Rows) != 1 || sweep.Rows[0].Metrics.Branches == 0 {
-		t.Fatalf("sweep: %+v, %v", sweep, err)
-	}
 	page, err := c.Metrics(ctx)
 	if err != nil || !strings.Contains(page, "bpservd_events_total") {
 		t.Fatalf("metrics page: %v\n%s", err, page)

@@ -3,24 +3,18 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/ifconv"
 	"repro/internal/sim"
 	"repro/internal/snap"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // WriteJSON answers with status code and v encoded as JSON.
@@ -75,11 +69,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-func isBinary(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return strings.HasPrefix(ct, "application/octet-stream") || strings.HasPrefix(ct, "application/x-p64-trace")
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -159,11 +148,15 @@ func readTraceBody(body io.Reader, scratch []trace.Event) (*trace.Trace, error) 
 	return tr, nil
 }
 
+// handlePostEvents feeds one P64T batch (the body, with its instruction
+// credit in the trace header) into a session. ?seq=N, when set, numbers
+// the batch in a per-session increasing sequence (1, 2, 3, ...): a batch
+// at or below the session's last applied seq is acknowledged without
+// being re-applied, which makes client retries after a failover
+// exactly-once, and a gap is refused with 409. ?metrics=1 returns the
+// session's metrics with the acknowledgement.
 func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var events []trace.Event
-	var insts, seq uint64
-	var pooled *[]trace.Event
+	var seq uint64
 	if v := r.URL.Query().Get("seq"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || n == 0 {
@@ -172,39 +165,18 @@ func (s *Server) handlePostEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		seq = n
 	}
-	if isBinary(r) {
-		pooled = batchPool.Get().(*[]trace.Event)
-		tr, err := readTraceBody(r.Body, *pooled)
-		if err != nil {
-			batchPool.Put(pooled)
-			WriteBodyError(w, err, "bad_trace", err.Error())
-			return
-		}
-		*pooled = tr.Events[:0] // keep the (possibly grown) backing array
-		events, insts = tr.Events, tr.Insts
-	} else {
-		var req BatchRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		events = make([]trace.Event, len(req.Events))
-		for i, ej := range req.Events {
-			ev, err := ej.Event()
-			if err != nil {
-				WriteError(w, http.StatusBadRequest, "bad_event", fmt.Sprintf("event %d: %v", i, err))
-				return
-			}
-			events[i] = ev
-		}
-		insts = req.Insts
-		if req.Seq != 0 {
-			seq = req.Seq
-		}
+	pooled := batchPool.Get().(*[]trace.Event)
+	tr, err := readTraceBody(r.Body, *pooled)
+	if err != nil {
+		batchPool.Put(pooled)
+		WriteBodyError(w, err, "bad_trace", err.Error())
+		return
 	}
+	*pooled = tr.Events[:0] // keep the (possibly grown) backing array
 	withMetrics := r.URL.Query().Get("metrics") == "1"
-	res, err := s.mgr.Feed(r.Context(), id, events, insts, seq, withMetrics)
-	if pooled != nil && (err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrBusy) ||
-		errors.Is(err, ErrFull) || errors.Is(err, ErrClosing) || errors.Is(err, ErrSeqGap)) {
+	res, err := s.mgr.Feed(r.Context(), r.PathValue("id"), tr.Events, tr.Insts, seq, withMetrics)
+	if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrBusy) ||
+		errors.Is(err, ErrFull) || errors.Is(err, ErrClosing) || errors.Is(err, ErrSeqGap) {
 		// The op completed (or was refused before enqueue), so the shard
 		// holds no reference to the buffer. A context error instead means
 		// the op may still be queued — the buffer is dropped, not pooled.
@@ -314,166 +286,8 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// parseSweepQuery reads the query-parameter form of a sweep request used
-// with binary trace uploads.
-func parseSweepQuery(r *http.Request) (SweepRequest, error) {
-	q := r.URL.Query()
-	var req SweepRequest
-	for _, v := range q["spec"] {
-		for _, f := range strings.Split(v, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				req.Specs = append(req.Specs, f)
-			}
-		}
-	}
-	boolArg := func(key string) bool { v := q.Get(key); return v == "1" || v == "true" }
-	req.SFPF = boolArg("sfpf")
-	req.FilterTrue = boolArg("filter_true")
-	req.TrainFiltered = boolArg("train_filtered")
-	req.PerBranch = boolArg("per_branch")
-	req.PGU = q.Get("pgu")
-	for key, dst := range map[string]**uint64{"resolve_delay": &req.ResolveDelay, "pgu_delay": &req.PGUDelay} {
-		if v := q.Get(key); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return req, fmt.Errorf("bad %s %q", key, v)
-			}
-			*dst = &n
-		}
-	}
-	if v := q.Get("timeout_ms"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return req, fmt.Errorf("bad timeout_ms %q", v)
-		}
-		req.TimeoutMS = n
-	}
-	return req, nil
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	var tr *trace.Trace
-	if isBinary(r) {
-		var err error
-		if req, err = parseSweepQuery(r); err != nil {
-			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		if tr, err = readTraceBody(r.Body, nil); err != nil {
-			WriteBodyError(w, err, "bad_trace", err.Error())
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Specs) == 0 {
-		WriteError(w, http.StatusBadRequest, "bad_request", "no predictor specs given")
-		return
-	}
-	if len(req.Specs) > s.cfg.MaxSweepSpecs {
-		WriteError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("%d specs exceeds the per-request limit of %d", len(req.Specs), s.cfg.MaxSweepSpecs))
-		return
-	}
-	specs := make([]sim.Spec, len(req.Specs))
-	for i, text := range req.Specs {
-		sp, err := sim.Parse(text)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad_spec", err.Error())
-			return
-		}
-		specs[i] = sp
-	}
-	baseCfg, err := req.Config()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	if tr == nil {
-		if req.Workload == "" {
-			WriteError(w, http.StatusBadRequest, "bad_request", "need a workload name or an uploaded trace")
-			return
-		}
-		wl, err := workload.ByName(req.Workload)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad_workload", err.Error())
-			return
-		}
-		limit := req.Limit
-		if limit == 0 {
-			limit = 2_000_000
-		}
-		if limit > s.cfg.MaxSweepLimit {
-			limit = s.cfg.MaxSweepLimit
-		}
-		p := wl.Build()
-		if req.Convert {
-			cp, _, err := ifconv.Convert(p, ifconv.Config{})
-			if err != nil {
-				WriteError(w, http.StatusInternalServerError, "internal", err.Error())
-				return
-			}
-			p = cp
-		}
-		if tr, err = trace.Collect(p, limit); err != nil {
-			WriteError(w, http.StatusBadRequest, "bad_workload", err.Error())
-			return
-		}
-	}
-
-	// Per-request deadline; the context is the request's, so a client
-	// disconnect cancels the fan-out mid-sweep.
-	timeout := s.cfg.SweepTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	s.tel.sweeps.Inc()
-	s.tel.sweepEvals.Add(uint64(len(specs)))
-	if s.sweepHold != nil {
-		s.sweepHold(ctx)
-	}
-	rows, err := sim.Map(ctx, specs, s.cfg.SweepWorkers, func(ctx context.Context, sp sim.Spec) (SweepRow, error) {
-		cfg := baseCfg
-		var err error
-		if cfg.Predictor, err = sp.New(); err != nil {
-			return SweepRow{}, err
-		}
-		m, err := evaluateCtx(ctx, tr, cfg)
-		if err != nil {
-			return SweepRow{}, err
-		}
-		return SweepRow{Spec: sp.String(), Metrics: MetricsToJSON(m)}, nil
-	})
-	if err != nil {
-		code, errCode := http.StatusInternalServerError, "internal"
-		if ctx.Err() != nil {
-			code, errCode = http.StatusGatewayTimeout, "timeout"
-		}
-		WriteError(w, code, errCode, err.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, SweepResponse{Workload: tr.Name, Events: len(tr.Events), Rows: rows})
-}
-
 func (s *Server) handlePredictors(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, PredictorsResponse{Kinds: sim.Kinds(), Usage: sim.Usage()})
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	// Registry workloads first, then the synthetic characterization
-	// catalog; any other "syn:..." point resolves by name in sweeps
-	// even though only the catalog grid is listed.
-	ws := append(workload.All(), workload.Synthetics()...)
-	out := make([]WorkloadJSON, len(ws))
-	for i, wl := range ws {
-		out[i] = WorkloadJSON{Name: wl.Name, Description: wl.Description}
-	}
-	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -491,25 +305,4 @@ func (s *Server) handleMetricsPage(w http.ResponseWriter, _ *http.Request) {
 	s.scrapeMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write(page.Bytes())
-}
-
-// sweepChunk is how many events a sweep evaluation feeds between
-// context checks.
-const sweepChunk = 4096
-
-// evaluateCtx is core.Evaluate in sweepChunk-event batches, checking ctx
-// before each one, so a cancelled sweep (timeout or client disconnect)
-// stops mid-trace instead of finishing the whole trace first.
-func evaluateCtx(ctx context.Context, tr *trace.Trace, cfg core.EvalConfig) (core.Metrics, error) {
-	e := core.NewEvaluator(cfg)
-	for evs := tr.Events; len(evs) > 0; {
-		if err := ctx.Err(); err != nil {
-			return core.Metrics{}, err
-		}
-		n := min(len(evs), sweepChunk)
-		e.FeedBatch(evs[:n])
-		evs = evs[n:]
-	}
-	e.AddInsts(tr.Insts)
-	return e.Metrics(), nil
 }

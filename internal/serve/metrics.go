@@ -24,8 +24,6 @@ type serverMetrics struct {
 	warmRestores    *telemetry.Counter
 	restoreFailures *telemetry.Counter
 	spillErrors     *telemetry.Counter
-	sweeps          *telemetry.Counter
-	sweepEvals      *telemetry.Counter
 	opsExecuted     *telemetry.Counter
 }
 
@@ -44,8 +42,6 @@ func newServerMetrics() *serverMetrics {
 	m.warmRestores = reg.Counter("bpservd_sessions_warm_restored_total", "Sessions restored from the spill directory on touch.")
 	m.restoreFailures = reg.Counter("bpservd_snapshot_restore_failures_total", "Snapshots that failed to decode (spill files or restore requests).")
 	m.spillErrors = reg.Counter("bpservd_spill_errors_total", "Failed attempts to write a session snapshot to the spill directory.")
-	m.sweeps = reg.Counter("bpservd_sweeps_total", "Sweep requests executed.")
-	m.sweepEvals = reg.Counter("bpservd_sweep_evals_total", "Individual spec evaluations across sweeps.")
 	m.opsExecuted = reg.Counter("bpservd_sched_passes_total", "Shard ops executed.")
 	telemetry.RegisterBuildInfo(reg, buildinfo.Version(), buildinfo.Revision())
 	return m

@@ -3,19 +3,17 @@
 // (internal/sim), the incremental evaluator (internal/core), and the
 // trace wire format (internal/trace).
 //
-// The service has three request shapes:
+// The service has two request shapes:
 //
 //   - Sessions: a client creates a session bound to any registry spec and
 //     mechanism configuration, streams branch/predicate events to it in
-//     batches (JSON or binary P64T), and reads incremental metrics — the
-//     online evaluation loop of Lin & Tarsa's "helper predictors against
-//     live branch streams". Sessions are sharded across a fixed worker
-//     set with single-writer ownership (no per-event locking), bounded in
+//     P64T batches, and reads incremental metrics — the online
+//     evaluation loop of Lin & Tarsa's "helper predictors against live
+//     branch streams". Sessions are sharded across a fixed worker set
+//     with single-writer ownership (no per-event locking), bounded in
 //     count and approximate memory, LRU-evicted under capacity pressure,
-//     and expired by idle TTL.
-//   - Sweeps: a grid of specs evaluated against a named workload or an
-//     uploaded trace, fanned out over sim.Sweep with per-request timeout
-//     and cancellation on client disconnect.
+//     and expired by idle TTL. Grids of predictors over whole traces run
+//     in-process (internal/sim, cmd/bpsweep), not here.
 //   - Observability: /metrics (Prometheus text format, no external
 //     dependencies), /debug/pprof, structured request logs, and a
 //     consistent JSON error envelope.
@@ -27,7 +25,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -73,15 +70,6 @@ type Config struct {
 	// RateBurst is the bucket size when rate limiting is on.
 	RateBurst int
 
-	// SweepTimeout caps a sweep request that sets no timeout_ms.
-	SweepTimeout time.Duration
-	// SweepWorkers is the sweep fan-out; 0 means GOMAXPROCS.
-	SweepWorkers int
-	// MaxSweepSpecs caps the grid size of one sweep request.
-	MaxSweepSpecs int
-	// MaxSweepLimit caps the emulation step limit of a named-workload sweep.
-	MaxSweepLimit uint64
-
 	// SlowRequest is the latency threshold above which a request gets a
 	// structured slow_request log line; 0 disables.
 	SlowRequest time.Duration
@@ -117,15 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.RateBurst <= 0 {
 		c.RateBurst = 128
 	}
-	if c.SweepTimeout <= 0 {
-		c.SweepTimeout = 30 * time.Second
-	}
-	if c.MaxSweepSpecs <= 0 {
-		c.MaxSweepSpecs = 64
-	}
-	if c.MaxSweepLimit == 0 {
-		c.MaxSweepLimit = 10_000_000
-	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
 	}
@@ -135,8 +114,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the serving subsystem: session manager, sweep runner, and
-// observability, behind one http.Handler.
+// Server is the serving subsystem: session manager and observability,
+// behind one http.Handler.
 type Server struct {
 	cfg    Config
 	tel    *serverMetrics
@@ -144,11 +123,6 @@ type Server struct {
 	mgr    *sessionManager
 	mux    *http.ServeMux
 	bucket *tokenBucket
-
-	// sweepHold, when set, runs with each sweep's deadline context just
-	// before the fan-out starts. Tests set it to wait for the context,
-	// which makes the deadline path deterministic however fast the sweep.
-	sweepHold func(ctx context.Context)
 
 	// scrapeMu serializes /metrics renders. h2p is the render's one
 	// hardest-branch ranking, which both bpservd_h2p_* families emit.
@@ -223,9 +197,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("GET /v1/sessions/{id}/snapshot", s.api("get_snapshot", s.handleGetSnapshot))
 	s.mux.Handle("POST /v1/sessions/{id}/restore", s.api("restore_session", s.handleRestoreSession))
 	s.mux.Handle("DELETE /v1/sessions/{id}", s.api("delete_session", s.handleDeleteSession))
-	s.mux.Handle("POST /v1/sweep", s.api("sweep", s.handleSweep))
 	s.mux.Handle("GET /v1/predictors", s.api("predictors", s.handlePredictors))
-	s.mux.Handle("GET /v1/workloads", s.api("workloads", s.handleWorkloads))
 	s.mux.Handle("GET /healthz", s.edge.Wrap("healthz", s.handleHealthz))
 	s.mux.Handle("GET /metrics", s.edge.Wrap("metrics", s.handleMetricsPage))
 	telemetry.MountPprof(s.mux)

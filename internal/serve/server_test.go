@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -16,10 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/ifconv"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -49,22 +48,30 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Server) {
 	return ts, s
 }
 
+// doJSON sends body (none if nil, a []byte verbatim as a binary body,
+// anything else encoded as JSON), requires wantCode, and decodes the
+// JSON reply into out if non-nil.
 func doJSON(t *testing.T, method, url string, body any, wantCode int, out any) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
+	contentType := "application/json"
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd, contentType = bytes.NewReader(b), "application/octet-stream"
+	default:
+		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(b)
+		rd = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -105,10 +112,10 @@ func directMetrics(t *testing.T, tr *trace.Trace, spec string, opts EvalOptions,
 	return e.Metrics()
 }
 
-// TestSessionLifecycle walks the full session flow — create, JSON batch,
-// binary batch, incremental read, delete — and requires the final
-// metrics to be identical to feeding the same events through
-// core.Evaluator directly.
+// TestSessionLifecycle walks the full session flow — create, a replay
+// in two batches, a replay in one, incremental read, delete — and
+// requires the final metrics to be identical to feeding the same events
+// through core.Evaluator directly.
 func TestSessionLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	tr := testTrace()
@@ -121,18 +128,11 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("bad session: %+v", sess)
 	}
 
-	// Replay 1: JSON events in two batches, instruction count on the last.
+	// Replay 1: two batches, instruction count on the last.
 	half := len(tr.Events) / 2
-	batch := func(events []trace.Event, insts uint64) BatchRequest {
-		req := BatchRequest{Insts: insts, Events: make([]EventJSON, len(events))}
-		for i := range events {
-			req.Events[i] = EventToJSON(&events[i])
-		}
-		return req
-	}
 	var ack BatchResponse
-	doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/events", batch(tr.Events[:half], 0), http.StatusOK, &ack)
-	doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/events?metrics=1", batch(tr.Events[half:], tr.Insts), http.StatusOK, &ack)
+	doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/events", EncodeBatch(tr.Events[:half], 0), http.StatusOK, &ack)
+	doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/events?metrics=1", EncodeBatch(tr.Events[half:], tr.Insts), http.StatusOK, &ack)
 	if ack.TotalEvents != uint64(len(tr.Events)) {
 		t.Fatalf("total events %d, want %d", ack.TotalEvents, len(tr.Events))
 	}
@@ -140,20 +140,8 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("no incremental metrics in batch ack: %+v", ack)
 	}
 
-	// Replay 2: the same events as one binary P64T batch.
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/sessions/"+sess.ID+"/events", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("binary batch: %d", resp.StatusCode)
-	}
+	// Replay 2: the same events as one batch.
+	doJSON(t, "POST", ts.URL+"/v1/sessions/"+sess.ID+"/events", EncodeBatch(tr.Events, tr.Insts), http.StatusOK, nil)
 
 	// Incremental read, then close; both must agree with the direct path.
 	var got SessionJSON
@@ -202,10 +190,7 @@ func TestErrorEnvelopes(t *testing.T) {
 		http.StatusBadRequest, "bad_request")
 	check("GET", ts.URL+"/v1/sessions/s-missing", nil, http.StatusNotFound, "not_found")
 	check("DELETE", ts.URL+"/v1/sessions/s-missing", nil, http.StatusNotFound, "not_found")
-	check("POST", ts.URL+"/v1/sessions/s-missing/events", BatchRequest{}, http.StatusNotFound, "not_found")
-	check("POST", ts.URL+"/v1/sweep", SweepRequest{}, http.StatusBadRequest, "bad_request")
-	check("POST", ts.URL+"/v1/sweep", SweepRequest{Specs: []string{"gshare"}, Workload: "nope"},
-		http.StatusBadRequest, "bad_workload")
+	check("POST", ts.URL+"/v1/sessions/s-missing/events", EncodeBatch(nil, 0), http.StatusNotFound, "not_found")
 
 	// Malformed JSON body.
 	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader("{"))
@@ -220,39 +205,14 @@ func TestErrorEnvelopes(t *testing.T) {
 	// Oversized body → 413.
 	var sess SessionJSON
 	doJSON(t, "POST", ts.URL+"/v1/sessions", SessionRequest{Spec: "gshare"}, http.StatusCreated, &sess)
-	big := BatchRequest{Events: make([]EventJSON, 512)}
-	for i := range big.Events {
-		big.Events[i] = EventJSON{Kind: "branch"}
-	}
-	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events", big, http.StatusRequestEntityTooLarge, "body_too_large")
+	events := ts.URL + "/v1/sessions/" + sess.ID + "/events"
+	check("POST", events, EncodeBatch(make([]trace.Event, 100), 0), http.StatusRequestEntityTooLarge, "body_too_large")
 
-	// Oversized binary (P64T) bodies → 413 too, on the events and the
-	// sweep endpoints alike.
-	var bin bytes.Buffer
-	if _, err := (&trace.Trace{Name: "big", Events: make([]trace.Event, 100)}).WriteTo(&bin); err != nil {
-		t.Fatal(err)
-	}
-	for _, url := range []string{ts.URL + "/v1/sessions/" + sess.ID + "/events", ts.URL + "/v1/sweep?spec=gshare"} {
-		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(bin.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var envelope ErrorBody
-		json.NewDecoder(resp.Body).Decode(&envelope)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error.Code != "body_too_large" {
-			t.Errorf("POST %s with a %d-byte binary body: %d %q, want 413 body_too_large (message %q)",
-				url, bin.Len(), resp.StatusCode, envelope.Error.Code, envelope.Error.Message)
-		}
-	}
-
-	// Bad event kind.
-	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events",
-		BatchRequest{Events: []EventJSON{{Kind: "jump"}}}, http.StatusBadRequest, "bad_event")
-	// A PC beyond 32 bits: the binary form cannot carry it, so the JSON
-	// form refuses it rather than feeding an event P64T would truncate.
-	check("POST", ts.URL+"/v1/sessions/"+sess.ID+"/events",
-		BatchRequest{Events: []EventJSON{{Kind: "branch", PC: 1<<40 | 5}}}, http.StatusBadRequest, "bad_event")
+	// Events enter only as P64T: a JSON batch fails the magic check, and
+	// so does a record of an unknown kind.
+	check("POST", events, map[string]any{"events": []map[string]any{{"kind": "branch"}}},
+		http.StatusBadRequest, "bad_trace")
+	check("POST", events, EncodeBatch([]trace.Event{{Kind: 9}}, 0), http.StatusBadRequest, "bad_trace")
 
 	// A binary body holding two traces back to back: the bytes after the
 	// first trace's declared events are refused, not silently dropped.
@@ -260,144 +220,8 @@ func TestErrorEnvelopes(t *testing.T) {
 	ts2, _ := newTestServer(t, Config{})
 	var sess2 SessionJSON
 	doJSON(t, "POST", ts2.URL+"/v1/sessions", SessionRequest{Spec: "gshare"}, http.StatusCreated, &sess2)
-	var two bytes.Buffer
-	for i := 0; i < 2; i++ {
-		if _, err := (&trace.Trace{Name: "ten", Events: make([]trace.Event, 10)}).WriteTo(&two); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, url := range []string{ts2.URL + "/v1/sessions/" + sess2.ID + "/events", ts2.URL + "/v1/sweep?spec=gshare"} {
-		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(two.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var envelope ErrorBody
-		json.NewDecoder(resp.Body).Decode(&envelope)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "bad_trace" {
-			t.Errorf("POST %s with two concatenated traces: %d %q, want 400 bad_trace (message %q)",
-				url, resp.StatusCode, envelope.Error.Code, envelope.Error.Message)
-		}
-	}
-}
-
-// TestSweepEndpoint sweeps a grid over a named workload and over an
-// uploaded binary trace, and checks rows come back in spec order with
-// metrics identical to running the engine directly.
-func TestSweepEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
-	specs := []string{"bimodal:10", "gshare:10:6", "taken"}
-
-	var resp SweepResponse
-	doJSON(t, "POST", ts.URL+"/v1/sweep",
-		SweepRequest{Specs: specs, Workload: "scan", Convert: true, EvalOptions: testEvalOptions()},
-		http.StatusOK, &resp)
-	if len(resp.Rows) != len(specs) {
-		t.Fatalf("got %d rows, want %d", len(resp.Rows), len(specs))
-	}
-	tr := testTrace()
-	for i, row := range resp.Rows {
-		if row.Spec != sim.MustParse(specs[i]).String() {
-			t.Errorf("row %d spec %q, want %q", i, row.Spec, specs[i])
-		}
-		want := MetricsToJSON(directMetrics(t, tr, specs[i], testEvalOptions(), 1))
-		if !reflect.DeepEqual(want, row.Metrics) {
-			t.Errorf("row %d (%s) diverges from direct evaluation", i, row.Spec)
-		}
-	}
-
-	// Binary upload form: specs and options in the query string.
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	url := ts.URL + "/v1/sweep?spec=bimodal:10,gshare:10:6&sfpf=1&pgu=all&per_branch=1"
-	httpResp, err := http.Post(url, "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer httpResp.Body.Close()
-	var up SweepResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&up); err != nil || httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("binary sweep: status %d err %v", httpResp.StatusCode, err)
-	}
-	if len(up.Rows) != 2 || up.Events != len(tr.Events) {
-		t.Fatalf("binary sweep response: %d rows, %d events", len(up.Rows), up.Events)
-	}
-	if !reflect.DeepEqual(up.Rows[0].Metrics, MetricsToJSON(directMetrics(t, tr, "bimodal:10", testEvalOptions(), 1))) {
-		t.Error("uploaded-trace sweep diverges from direct evaluation")
-	}
-}
-
-// TestSweepTimeout forces a tiny per-request deadline and expects 504
-// with the timeout error code. The fan-out is held until the deadline
-// has passed: a fast sweep could otherwise finish inside it and answer
-// 200.
-func TestSweepTimeout(t *testing.T) {
-	ts, s := newTestServer(t, Config{})
-	s.sweepHold = func(ctx context.Context) { <-ctx.Done() }
-	var envelope ErrorBody
-	doJSON(t, "POST", ts.URL+"/v1/sweep",
-		SweepRequest{
-			Specs:    []string{"gshare:14:12", "gshare:14:10", "gshare:14:8", "gshare:14:6"},
-			Workload: "scan", Convert: true, TimeoutMS: 1,
-		},
-		http.StatusGatewayTimeout, &envelope)
-	if envelope.Error.Code != "timeout" {
-		t.Errorf("error code %q, want timeout", envelope.Error.Code)
-	}
-}
-
-// cancelOnStep is a predictor that cancels a context at its first
-// step: a sweep cancelled while it is evaluating.
-type cancelOnStep struct {
-	bpred.Predictor
-	cancel context.CancelFunc
-}
-
-func (p cancelOnStep) PredictUpdate(pc uint64, taken bool) bool {
-	p.cancel()
-	return p.Predictor.PredictUpdate(pc, taken)
-}
-
-// TestEvaluateCtx: the sweep's chunked evaluation matches core.Evaluate,
-// and a context cancelled mid-trace stops it with the context's error
-// instead of metrics for the whole trace.
-func TestEvaluateCtx(t *testing.T) {
-	tr, err := trace.Collect(workload.ByNameMust("scan").Build(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) <= sweepChunk {
-		t.Fatalf("scan has %d events, not more than one %d-event chunk", len(tr.Events), sweepChunk)
-	}
-	cfg := core.EvalConfig{
-		Predictor: sim.For("gshare", 12, 8).MustNew(),
-		UseSFPF:   true, ResolveDelay: core.DefaultResolveDelay,
-		PGU: core.PGUAll, PGUDelay: core.DefaultPGUDelay,
-	}
-	want := core.Evaluate(tr, cfg)
-	cfg.Predictor = sim.For("gshare", 12, 8).MustNew() // each run trains its own
-	got, err := evaluateCtx(context.Background(), tr, cfg)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("chunked evaluation: err %v, metrics %+v; want %+v", err, got, want)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.Predictor = cancelOnStep{sim.For("gshare", 12, 8).MustNew(), cancel}
-	if _, err := evaluateCtx(ctx, tr, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("evaluation cancelled mid-trace returned %v, want context.Canceled", err)
-	}
-}
-
-// TestSweepSpecLimit rejects oversized grids.
-func TestSweepSpecLimit(t *testing.T) {
-	ts, _ := newTestServer(t, Config{MaxSweepSpecs: 2})
-	var envelope ErrorBody
-	doJSON(t, "POST", ts.URL+"/v1/sweep",
-		SweepRequest{Specs: []string{"taken", "nottaken", "bimodal"}, Workload: "scan"},
-		http.StatusBadRequest, &envelope)
+	ten := EncodeBatch(make([]trace.Event, 10), 0)
+	check("POST", ts2.URL+"/v1/sessions/"+sess2.ID+"/events", append(ten, ten...), http.StatusBadRequest, "bad_trace")
 }
 
 // TestRateLimit exhausts a one-token bucket and expects 429.
@@ -421,11 +245,6 @@ func TestListingsAndHealth(t *testing.T) {
 	if len(preds.Kinds) == 0 || preds.Usage == "" {
 		t.Errorf("empty predictor listing: %+v", preds)
 	}
-	var wls []WorkloadJSON
-	doJSON(t, "GET", ts.URL+"/v1/workloads", nil, http.StatusOK, &wls)
-	if len(wls) == 0 {
-		t.Error("empty workload listing")
-	}
 	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, nil)
 
 	var sess SessionJSON
@@ -437,6 +256,15 @@ func TestListingsAndHealth(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/sessions", nil, http.StatusOK, &list)
 	if list.Count != 1 || len(list.Sessions) != 1 || list.Sessions[0].ID != sess.ID {
 		t.Errorf("bad session list: %+v", list)
+	}
+}
+
+// TestRemovedEndpoints pins the sweep and workload-listing endpoints as
+// gone: grids over whole traces run in-process, not in the daemon.
+func TestRemovedEndpoints(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	for _, ep := range []struct{ method, name string }{{"POST", "sweep"}, {"GET", "workloads"}} {
+		doJSON(t, ep.method, ts.URL+"/v1/"+ep.name, nil, http.StatusNotFound, nil)
 	}
 }
 
@@ -492,25 +320,13 @@ func TestPprofWired(t *testing.T) {
 // TestRequestLogging checks one structured line per request reaches the
 // configured logger.
 func TestRequestLogging(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	logWriter := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	ts, _ := newTestServer(t, Config{Logger: log.New(logWriter, "", 0)})
+	var buf testutil.LogBuffer
+	ts, _ := newTestServer(t, Config{Logger: log.New(&buf, "", 0)})
 	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, nil)
-	mu.Lock()
-	defer mu.Unlock()
 	if !strings.Contains(buf.String(), "endpoint=healthz status=200") {
 		t.Errorf("no structured request log line, got %q", buf.String())
 	}
 }
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestGracefulDrain floods sessions with concurrent batches while the
 // server shuts down; every batch acknowledged to a client must have been

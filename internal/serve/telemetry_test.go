@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // handStatsBatch is a hand-computed trace against the static
@@ -22,22 +24,19 @@ import (
 //	PC 0x300: 3 runs, 3 taken -> 0 mispredicts
 //
 // Totals: 12 branches, 6 mispredicts, accuracy 0.5.
-func handStatsBatch() BatchRequest {
-	taken := map[uint64][]bool{
+func handStatsBatch() []byte {
+	taken := map[uint32][]bool{
 		0x100: {true, false, false, true, false},
 		0x200: {false, true, false, false},
 		0x300: {true, true, true},
 	}
-	var req BatchRequest
-	step := uint64(0)
-	for _, pc := range []uint64{0x100, 0x200, 0x300} {
+	var events []trace.Event
+	for _, pc := range []uint32{0x100, 0x200, 0x300} {
 		for _, tk := range taken[pc] {
-			step++
-			req.Events = append(req.Events, EventJSON{Kind: "branch", Step: step, PC: pc, Taken: tk})
+			events = append(events, trace.Event{Kind: trace.KindBranch, Step: uint64(len(events) + 1), PC: pc, Flags: trace.FlagTaken.If(tk)})
 		}
 	}
-	req.Insts = step
-	return req
+	return EncodeBatch(events, uint64(len(events)))
 }
 
 // TestStatsEndpoint verifies the top-K mispredicted ranking against the
@@ -185,7 +184,7 @@ func TestScrapeLintAndH2P(t *testing.T) {
 // client ID is kept (response header, error envelope, log line), an
 // invalid one is replaced by a minted ID.
 func TestRequestIDPropagation(t *testing.T) {
-	var buf bytes.Buffer
+	var buf testutil.LogBuffer
 	ts, _ := newTestServer(t, Config{Logger: log.New(&buf, "", 0)})
 
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/sessions/ghost", nil)
@@ -228,7 +227,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // TestSlowRequestLog checks the tracer emits the structured slow line
 // once a request crosses the threshold.
 func TestSlowRequestLog(t *testing.T) {
-	var buf bytes.Buffer
+	var buf testutil.LogBuffer
 	now := time.Unix(100, 0)
 	clock := func() time.Time {
 		now = now.Add(50 * time.Millisecond) // each Now() call advances: every request looks slow

@@ -1,6 +1,6 @@
 // Package testutil provides cross-package test helpers, chiefly the
 // observational-equivalence oracle between an original program and its
-// if-converted form.
+// if-converted form, plus a log buffer safe to read under -race.
 package testutil
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"unsafe"
 )
 
@@ -16,6 +17,7 @@ import (
 //	u64 event count, then one 24-byte record per event:
 //	    u8 kind, u8 flags, u8 guard, u8 pad, u32 pc, u64 step, u64 guardDist
 //
+// kind is KindBranch (0) or KindPredDef (1); a reader refuses any other.
 // flags is Event.Flags (FlagTaken first, LSB). Little-endian. Writers
 // store the pad byte as zero; readers ignore it. A record is an Event's
 // memory image: decoding reads the records straight into the event
@@ -150,14 +152,22 @@ func ReadTraceFrom(br *bufio.Reader, scratch []Event) (*Trace, error) {
 		}
 		// Kind, Flags and Guard are single bytes and already in place;
 		// clear the pad byte and set the wider fields from their
-		// little-endian bytes.
+		// little-endian bytes. The kinds are ORed together so one check
+		// per chunk refuses any kind but a branch or a predicate define
+		// (0 and 1).
+		var kinds Kind
 		for i := range chunk {
 			ev := &chunk[i]
 			rec := (*[eventRecordSize]byte)(unsafe.Pointer(ev))
 			rec[3] = 0
+			kinds |= ev.Kind
 			ev.PC = binary.LittleEndian.Uint32(rec[4:8])
 			ev.Step = binary.LittleEndian.Uint64(rec[8:16])
 			ev.GuardDist = binary.LittleEndian.Uint64(rec[16:24])
+		}
+		if kinds > KindPredDef {
+			i := slices.IndexFunc(chunk, func(ev Event) bool { return ev.Kind > KindPredDef })
+			return nil, fmt.Errorf("trace: event %d: unknown kind %d", read+uint64(i), chunk[i].Kind)
 		}
 		read += uint64(n)
 	}

@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -303,6 +304,27 @@ func TestReadTraceChunkBoundary(t *testing.T) {
 	// Truncated inside the second chunk: an error naming a record there.
 	if _, err := trace.ReadTrace(bytes.NewReader(buf.Bytes()[:buf.Len()-30])); err == nil {
 		t.Fatal("trace truncated in its second chunk accepted")
+	}
+}
+
+// TestReadTraceRejectsUnknownKind: a record whose kind is neither a
+// branch nor a predicate define fails the decode, naming the record, in
+// the first chunk and past the chunk boundary alike.
+func TestReadTraceRejectsUnknownKind(t *testing.T) {
+	for _, at := range []int{0, 5, trace.DecodeChunkForTest + 1} {
+		for _, kind := range []trace.Kind{2, 9, 255} {
+			evs := testEvents(trace.DecodeChunkForTest + 3)
+			evs[at].Kind = kind
+			var buf bytes.Buffer
+			if _, err := (&trace.Trace{Name: "kinds", Events: evs}).WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := trace.ReadTrace(&buf)
+			want := fmt.Sprintf("trace: event %d: unknown kind %d", at, kind)
+			if err == nil || err.Error() != want {
+				t.Errorf("kind %d at event %d: err %v, want %q", kind, at, err, want)
+			}
+		}
 	}
 }
 
