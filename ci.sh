@@ -30,6 +30,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== router body recycling under -race =="
+# A pooled request-body buffer that goes back to the pool while the
+# transport still reads it shows up only under some schedules, so one
+# -race pass can miss it; twenty give the detector twenty schedules.
+go test -race -count=20 -run 'TestProxyBodyRecycleSafety' ./internal/router
+
 echo "== bench module =="
 # bench/ is its own module, so the root vet and test stop at its go.mod;
 # vetting it here catches a core or trace API change that breaks the

@@ -88,5 +88,5 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	defer rt.Close()
 
-	return serve.ListenAndServe(ctx, out, *addr, *portfile, fmt.Sprintf("routing %d backends on ", len(urls)), rt.Handler(), *drain)
+	return serve.ListenAndServe(ctx, out, *addr, *portfile, fmt.Sprintf("routing %d backends on ", len(urls)), rt.Handler(), *drain, nil)
 }

@@ -7,9 +7,11 @@
 //	bpservd -addr 127.0.0.1:8080
 //	bpservd -addr 127.0.0.1:0 -portfile /tmp/bpservd.port   # scripts read the bound address
 //
-// The daemon shuts down cleanly on SIGINT/SIGTERM: the HTTP server stops
-// accepting work and drains in-flight handlers, then the session shards
-// drain their queued batches, then the process exits 0.
+// The daemon shuts down cleanly on SIGINT/SIGTERM: the session shards
+// drain their queued batches and spill the live sessions (requests
+// meanwhile answer 503 shutting_down once the spill is done), then the
+// HTTP server stops accepting work and drains in-flight handlers, then
+// the process exits 0.
 package main
 
 import (
@@ -26,6 +28,11 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/serve"
 )
+
+// shutdownHold runs after the HTTP server has shut down, just before
+// the final Close; tests replace it to hold the daemon with its
+// listener closed.
+var shutdownHold = func() {}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -85,9 +92,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	// Shutdown ordering: ListenAndServe stops the HTTP server first so
-	// no handler is mid-enqueue, then Close drains the session shards.
-	err = serve.ListenAndServe(ctx, out, *addr, *portfile, "listening on ", srv.Handler(), *drain)
+	// Shutdown ordering: Close drains the session shards and spills the
+	// live sessions while the listener is still open, so a request that
+	// arrives meanwhile is refused with 503 only once its session is on
+	// disk; then the HTTP server stops. A router retries either failure
+	// on the session's next owner, which finds the session in the shared
+	// spill directory.
+	err = serve.ListenAndServe(ctx, out, *addr, *portfile, "listening on ", srv.Handler(), *drain, func() { srv.Close() })
+	shutdownHold()
 	live := srv.Close()
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -120,6 +121,7 @@ func (t *ctrTable) update(i uint64, taken bool) { t.predictUpdate(i, b2u(taken))
 // counter, in index order — identical to the retired byte-per-counter
 // layout's in-memory dump, so snapshot bytes survived the packing.
 func (t *ctrTable) appendState(buf []byte) []byte {
+	buf = slices.Grow(buf, int(t.mask+1))
 	for i := uint64(0); i <= t.mask; i++ {
 		buf = append(buf, byte(t.get(i)))
 	}

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,6 +214,10 @@ func TestFailoverWithSharedSpill(t *testing.T) {
 
 	feedBatch(t, c.front.URL, sess.ID, events[:100], 1)
 
+	// Stop the health loop (Close stops only that), so the retried
+	// batch, not a health check that happens to run first, finds the
+	// owner dead.
+	c.rt.Close()
 	// Kill the owner: close its HTTP listener (transport errors for the
 	// router) and drain the serve layer (spills live sessions to disk).
 	owner := c.rt.pick(sess.ID, (*Backend).up)
@@ -415,5 +420,63 @@ func TestRouterMetricsAndHealth(t *testing.T) {
 func TestNoBackends(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted an empty fleet")
+	}
+}
+
+// TestShutdownRefusalRetries: a backend's 503 shutting_down refusal
+// sends the request to the session's next owner and takes the backend
+// out of the ring, while any other 503 reaches the client unchanged.
+func TestShutdownRefusalRetries(t *testing.T) {
+	var refuseCode atomic.Value
+	refuseCode.Store("shutting_down")
+	var refused, served atomic.Int64
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		refused.Add(1)
+		serve.WriteError(w, http.StatusServiceUnavailable, refuseCode.Load().(string), "refused")
+	}))
+	defer refusing.Close()
+	serving := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		served.Add(1)
+		io.Copy(io.Discard, r.Body)
+		serve.WriteJSON(w, http.StatusOK, serve.BatchResponse{Events: 1})
+	}))
+	defer serving.Close()
+	rt, err := New(Config{Backends: []string{refusing.URL, serving.URL}, HealthEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	id := ""
+	for i := 0; id == ""; i++ {
+		if cand := fmt.Sprintf("refuse-%d", i); rt.pick(cand, (*Backend).up).URL == refusing.URL {
+			id = cand
+		}
+	}
+	url := front.URL + "/v1/sessions/" + id + "/events?seq=1"
+	blob := serve.EncodeBatch(testTrace().Events[:8], 8)
+
+	var resp serve.BatchResponse
+	doJSON(t, "POST", url, blob, http.StatusOK, &resp)
+	if refused.Load() != 1 || served.Load() != 1 || resp.Events != 1 {
+		t.Fatalf("refused %d, served %d, reply %+v; want the refusal retried once", refused.Load(), served.Load(), resp)
+	}
+	if rt.backends[0].Healthy() || rt.mt.retries.Value() != 1 {
+		t.Fatalf("healthy=%v retries=%v after a shutdown refusal", rt.backends[0].Healthy(), rt.mt.retries.Value())
+	}
+
+	rt.backends[0].healthy.Store(true)
+	refuseCode.Store("capacity")
+	var env serve.ErrorBody
+	doJSON(t, "POST", url, blob, http.StatusServiceUnavailable, &env)
+	if env.Error.Code != "capacity" || env.Error.Message != "refused" || served.Load() != 1 {
+		t.Fatalf("a capacity refusal came back as %+v after %d serves; want it relayed", env.Error, served.Load())
 	}
 }

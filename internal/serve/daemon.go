@@ -14,10 +14,10 @@ import (
 // bprouter: it listens on addr, publishes the bound address to portfile
 // when set (atomically, so a watcher never reads a half-written file;
 // the file goes when it returns), prints banner and the address to out,
-// and serves h until ctx is done. It then shuts the HTTP server down,
-// giving in-flight requests up to drain; the caller closes what h
-// serves afterwards, so no handler is mid-enqueue when it does.
-func ListenAndServe(ctx context.Context, out io.Writer, addr, portfile, banner string, h http.Handler, drain time.Duration) error {
+// and serves h until ctx is done. It then runs quiesce, if not nil,
+// while the listener is still open, and shuts the HTTP server down,
+// giving in-flight requests up to drain.
+func ListenAndServe(ctx context.Context, out io.Writer, addr, portfile, banner string, h http.Handler, drain time.Duration, quiesce func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -45,6 +45,9 @@ func ListenAndServe(ctx context.Context, out io.Writer, addr, portfile, banner s
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(out, "shutting down")
+	if quiesce != nil {
+		quiesce()
+	}
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {

@@ -241,12 +241,15 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 // The snapshot self-validates (checksum, version, config key) before any
 // state is constructed; the URL ID must match the snapshot's own.
 func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
-	blob, err := io.ReadAll(r.Body)
+	body, err := ReadBody(r.Body)
 	if err != nil {
 		WriteBodyError(w, err, "bad_request", err.Error())
 		return
 	}
-	res, err := snap.Decode(blob)
+	// Decode copies every field out of the blob, so the buffer can go
+	// back to the pool as soon as it returns.
+	res, err := snap.Decode(body.Bytes())
+	body.Release()
 	if err != nil {
 		s.tel.restoreFailures.Inc()
 		code := "bad_snapshot"
@@ -290,7 +293,14 @@ func (s *Server) handlePredictors(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, PredictorsResponse{Kinds: sim.Kinds(), Usage: sim.Usage()})
 }
 
+// handleHealthz answers 503 shutting_down once Close has spilled the
+// sessions, so a router's health check takes the backend out of the
+// ring no sooner than its sessions can be found elsewhere.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if err := s.mgr.closing(); err != nil {
+		writeMgrError(w, s, err)
+		return
+	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 

@@ -20,8 +20,10 @@
 //
 // Robustness: request-size and rate limits, 429 backpressure when a shard
 // batch queue fills, and graceful shutdown that drains queued session
-// work (shut the http.Server down first so no handler is mid-enqueue,
-// then Close the serve.Server).
+// work and spills live sessions (Close the serve.Server while the
+// http.Server still listens, so a request refused for shutdown is
+// answered only once its session is on disk, then shut the http.Server
+// down).
 package serve
 
 import (
@@ -217,10 +219,13 @@ func MustNew(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains the session shards and stops their workers. Call it after
-// http.Server.Shutdown has returned, so no handler is mid-enqueue; queued
-// batches finish evaluating before Close returns. It reports the number
-// of sessions that were still live.
+// Close drains the session shards, stops their workers and spills the
+// live sessions to the spill directory, if one is set; queued batches
+// finish evaluating before Close returns. Handlers may still be running:
+// from the start of Close every API request and /healthz answers 503
+// shutting_down, but only once the spill is done, so a router that
+// retries the request on the session's next owner finds the session
+// there. It reports the number of sessions that were still live.
 func (s *Server) Close() int64 { return s.mgr.Close() }
 
 // api wraps an API handler in the request policy plus the rate limit:

@@ -384,3 +384,35 @@ func TestGracefulDrain(t *testing.T) {
 		t.Error("feed after Close succeeded")
 	}
 }
+
+// TestCloseWhileListening: Close may run while the HTTP server still
+// listens. It spills the live sessions, and from then on every API
+// request and /healthz answers 503 shutting_down, the refusal a router
+// retries on the session's next owner.
+func TestCloseWhileListening(t *testing.T) {
+	ts, s := newTestServer(t, Config{Shards: 2, SpillDir: t.TempDir()})
+	doJSON(t, "POST", ts.URL+"/v1/sessions", SessionRequest{ID: "closing", Spec: "gshare:10:6"}, http.StatusCreated, nil)
+	batch := EncodeBatch(testTrace().Events[:64], 64)
+	doJSON(t, "POST", ts.URL+"/v1/sessions/closing/events?seq=1", batch, http.StatusOK, nil)
+	if live := s.Close(); live != 1 {
+		t.Fatalf("Close reported %d live sessions, want 1", live)
+	}
+	if !s.mgr.spill.has("closing") {
+		t.Fatal("Close did not spill the live session")
+	}
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", "/v1/sessions/closing/events?seq=2", batch},
+		{"POST", "/v1/sessions", SessionRequest{ID: "late", Spec: "gshare:10:6"}},
+		{"GET", "/v1/sessions/closing", nil},
+		{"GET", "/healthz", nil},
+	} {
+		var env ErrorBody
+		doJSON(t, req.method, ts.URL+req.path, req.body, http.StatusServiceUnavailable, &env)
+		if env.Error.Code != "shutting_down" {
+			t.Errorf("%s %s after Close: code %q, want shutting_down", req.method, req.path, env.Error.Code)
+		}
+	}
+}

@@ -343,18 +343,20 @@ type sessionManager struct {
 	shards []*shard
 	ids    *telemetry.IDs // session IDs: s%06x-%08x
 
-	live   atomic.Int64
-	bytes  atomic.Int64
-	closed atomic.Bool
-	done   chan struct{}
-	wg     sync.WaitGroup
+	live    atomic.Int64
+	bytes   atomic.Int64
+	closed  atomic.Bool
+	done    chan struct{} // closed once every worker has exited
+	spilled chan struct{} // closed once Close has spilled every session
+	wg      sync.WaitGroup
 }
 
 func newSessionManager(cfg Config, tel *serverMetrics, spill *spillStore) *sessionManager {
 	m := &sessionManager{
 		cfg: cfg, tel: tel, now: cfg.Now, spill: spill,
-		ids:  telemetry.NewIDs("s"),
-		done: make(chan struct{}),
+		ids:     telemetry.NewIDs("s"),
+		done:    make(chan struct{}),
+		spilled: make(chan struct{}),
 	}
 	perShardSessions := (cfg.MaxSessions + cfg.Shards - 1) / cfg.Shards
 	if perShardSessions < 1 {
@@ -398,8 +400,8 @@ func (m *sessionManager) shardFor(id string) *shard {
 // (bounded by ctx); batch ops instead fail fast with ErrBusy when the
 // queue is full — the HTTP layer turns that into 429 backpressure.
 func (m *sessionManager) enqueue(ctx context.Context, sh *shard, op func(), block bool) error {
-	if m.closed.Load() {
-		return ErrClosing
+	if err := m.closing(); err != nil {
+		return err
 	}
 	if !block {
 		select {
@@ -415,8 +417,27 @@ func (m *sessionManager) enqueue(ctx context.Context, sh *shard, op func(), bloc
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-m.done:
-		return ErrClosing
+		return m.errClosing()
 	}
+}
+
+// errClosing reports ErrClosing once Close has spilled every session.
+// A refusal for shutdown tells a router to try the session's next
+// owner, and that owner finds the session in the shared spill
+// directory only after the spill: answering sooner would send the
+// retry there to a 404.
+func (m *sessionManager) errClosing() error {
+	<-m.spilled
+	return ErrClosing
+}
+
+// closing returns nil while the manager takes work and errClosing once
+// Close has begun.
+func (m *sessionManager) closing() error {
+	if m.closed.Load() {
+		return m.errClosing()
+	}
+	return nil
 }
 
 // do runs f on the shard's goroutine and returns its outcome: every
@@ -447,7 +468,7 @@ func do[T any](ctx context.Context, m *sessionManager, sh *shard, block bool, f 
 		case r := <-reply:
 			return r.v, r.err
 		default:
-			return zero, ErrClosing
+			return zero, m.errClosing()
 		}
 	}
 }
@@ -680,11 +701,15 @@ func (m *sessionManager) QueueDepth() int {
 // workers exit. With a spill store configured, every still-live session
 // is then snapshotted to disk — a SIGTERM'd backend loses no state, and
 // another backend sharing the spill directory can warm-restore its
-// sessions. It returns the number of sessions that were still live.
+// sessions. Requests may still arrive while it runs: each is refused
+// with ErrClosing, but only once the spill is done (errClosing). It
+// returns the number of sessions that were still live.
 func (m *sessionManager) Close() int64 {
 	if m.closed.Swap(true) {
+		<-m.spilled
 		return m.live.Load()
 	}
+	defer close(m.spilled)
 	for _, sh := range m.shards {
 		close(sh.quit)
 	}

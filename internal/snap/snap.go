@@ -173,8 +173,8 @@ func Encode(spec sim.Spec, e *core.Evaluator, meta Meta) ([]byte, error) {
 	buf = wire.AppendU64(buf, meta.Batches)
 	buf = wire.AppendU64(buf, meta.LastSeq)
 	buf = wire.AppendString(buf, Key(nspec, cfg))
-	buf = wire.AppendBytes(buf, st.AppendState(nil))
-	buf = wire.AppendBytes(buf, e.AppendState(nil))
+	buf = wire.AppendSized(buf, st.AppendState)
+	buf = wire.AppendSized(buf, e.AppendState)
 	buf = wire.AppendU32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }

@@ -20,7 +20,7 @@ import (
 // traffic for the SFPF and PGU paths), memoized across tests.
 var testTraceMemo *trace.Trace
 
-func testTrace(t *testing.T) *trace.Trace {
+func testTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	if testTraceMemo != nil {
 		return testTraceMemo
@@ -257,8 +257,8 @@ func TestDecodeRejectsNonCanonicalSpec(t *testing.T) {
 	buf = wire.AppendU64(buf, 0)
 	buf = wire.AppendU64(buf, 0)
 	buf = wire.AppendString(buf, Key(spec, cfg))
-	buf = wire.AppendBytes(buf, e.Predictor().(bpred.Stater).AppendState(nil))
-	buf = wire.AppendBytes(buf, e.AppendState(nil))
+	buf = wire.AppendSized(buf, e.Predictor().(bpred.Stater).AppendState)
+	buf = wire.AppendSized(buf, e.AppendState)
 	buf = wire.AppendU32(buf, crc32.ChecksumIEEE(buf))
 	if _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("non-canonical spec: got %v, want ErrCorrupt", err)
@@ -310,5 +310,28 @@ func TestKeySeparatesConfigs(t *testing.T) {
 	}
 	if seen[Key(sim.MustParse("gshare:13:8"), base)] {
 		t.Fatal("different spec collides")
+	}
+}
+
+// BenchmarkEncode snapshots a session of the kind bench's session_churn
+// workload runs (gshare:14:10 with SFPF, PGU and per-branch stats) after
+// a whole trace, the state a spill or a migration encodes.
+func BenchmarkEncode(b *testing.B) {
+	tr := testTrace(b)
+	spec := sim.MustParse("gshare:14:10")
+	e := core.NewEvaluator(fullCfg(spec.MustNew()))
+	e.FeedBatch(tr.Events)
+	meta := Meta{SessionID: "s-bench", Events: uint64(len(tr.Events)), Batches: 1, LastSeq: 1}
+	blob, err := Encode(spec, e, meta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Encode(spec, e, meta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -32,10 +32,16 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// AppendBytes appends a u32 length prefix followed by the bytes.
-func AppendBytes(b, p []byte) []byte {
-	b = AppendU32(b, uint32(len(p)))
-	return append(b, p...)
+// AppendSized appends a u32 length prefix followed by what app appends,
+// the layout Cursor.Bytes reads. The prefix is reserved, app appends
+// straight into b, and the prefix is patched to the length app added,
+// so the bytes are never built in a slice of their own and copied.
+func AppendSized(b []byte, app func([]byte) []byte) []byte {
+	at := len(b)
+	b = AppendU32(b, 0)
+	b = app(b)
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 // AppendString appends a u32 length prefix followed by the string bytes.

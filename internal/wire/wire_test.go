@@ -12,7 +12,7 @@ func TestRoundTrip(t *testing.T) {
 	buf = AppendU64(buf, 1<<63|42)
 	buf = AppendBool(buf, true)
 	buf = AppendBool(buf, false)
-	buf = AppendBytes(buf, []byte{1, 2, 3})
+	buf = AppendSized(buf, func(b []byte) []byte { return append(b, 1, 2, 3) })
 	buf = AppendString(buf, "hello")
 
 	c := NewCursor(buf)
