@@ -1,12 +1,11 @@
 // Command experiments regenerates every reconstructed table/figure from
 // the paper (experiments E1–E15, see DESIGN.md) and prints them as text,
-// markdown, or CSV. With -store it also appends each experiment's
-// result to the JSONL results store that `bpstats` lists and diffs.
+// markdown, or CSV.
 //
 // Usage:
 //
 //	experiments [-format text|markdown|csv] [-quick] [-id E2a,E5 | -id E3-E7] [-list]
-//	            [-timeout 5m] [-outdir results] [-store results/runs]
+//	            [-timeout 5m] [-outdir results]
 package main
 
 import (
@@ -16,11 +15,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/harness"
-	"repro/internal/results"
 	"repro/internal/stats"
 )
 
@@ -39,8 +36,6 @@ func run(args []string, out io.Writer) error {
 	list := fs.Bool("list", false, "list experiments and exit")
 	limit := fs.Uint64("limit", 0, "emulation step limit per program (0 = default)")
 	outdir := fs.String("outdir", "", "additionally write each table as CSV into this directory")
-	store := fs.String("store", "", "append results to the JSONL store in this directory (e.g. results/runs)")
-	runID := fs.String("run-id", "", "run identifier for -store records (default: generated)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	version := buildinfo.Flag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -85,9 +80,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	start := time.Now()
-	cfg := harness.Config{Quick: *quick, Limit: *limit}
-	res, err := harness.RunSelected(ctx, cfg, exps)
+	res, err := harness.RunSelected(ctx, harness.Config{Quick: *quick, Limit: *limit}, exps)
 	if err != nil {
 		return err
 	}
@@ -113,21 +106,6 @@ func run(args []string, out io.Writer) error {
 				}
 			}
 		}
-	}
-
-	if *store != "" {
-		rid := *runID
-		if rid == "" {
-			rid = results.NewRunID(start)
-		}
-		recs := make([]results.Record, len(res))
-		for i, r := range res {
-			recs[i] = r.Record(rid, start, cfg)
-		}
-		if err := results.Open(*store).Append(recs...); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "recorded run %s (%d experiments) in %s\n", rid, len(recs), results.Open(*store).Path())
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/results"
 )
 
 func TestList(t *testing.T) {
@@ -63,30 +61,6 @@ func TestIDListAndRange(t *testing.T) {
 	out = sb.String()
 	if !strings.Contains(out, "=== E9:") || !strings.Contains(out, "=== E10:") {
 		t.Errorf("range did not run both experiments:\n%s", out)
-	}
-}
-
-func TestStoreRecordsRun(t *testing.T) {
-	dir := t.TempDir()
-	var sb strings.Builder
-	if err := run([]string{"-id", "E8", "-quick", "-store", dir, "-run-id", "t1"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "recorded run t1") {
-		t.Errorf("no store confirmation in output:\n%s", sb.String())
-	}
-	recs, err := results.Open(dir).Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Experiment != "E8" || recs[0].RunID != "t1" {
-		t.Fatalf("store contents wrong: %+v", recs)
-	}
-	if !recs[0].Quick || recs[0].ConfigHash == "" || len(recs[0].Tables) != 1 {
-		t.Fatalf("record incomplete: %+v", recs[0])
-	}
-	if recs[0].Tables[0].Name != "E8" || len(recs[0].Tables[0].Rows) == 0 {
-		t.Fatalf("table not captured: %+v", recs[0].Tables[0])
 	}
 }
 

@@ -4,9 +4,6 @@
 package buildinfo
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"runtime"
@@ -18,31 +15,8 @@ import (
 // revision (with a +dirty suffix for modified checkouts), otherwise
 // "devel".
 func Version() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "devel"
-	}
-	var rev, modified string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				modified = "+dirty"
-			}
-		}
-	}
-	if v := bi.Main.Version; v != "" && v != "(devel)" {
-		return v
-	}
-	if rev != "" {
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		return rev + modified
-	}
-	return "devel"
+	v, _ := describe(debug.ReadBuildInfo())
+	return v
 }
 
 // Revision returns the full VCS revision baked into the binary (with a
@@ -51,25 +25,36 @@ func Version() string {
 // Revision stays exact — it labels the build_info metric so a scrape
 // pins the running binary to a commit.
 func Revision() string {
-	bi, ok := debug.ReadBuildInfo()
+	_, r := describe(debug.ReadBuildInfo())
+	return r
+}
+
+// describe derives Version's and Revision's answers from build
+// metadata (ok is false when the binary carries none). It walks the
+// VCS settings once for both.
+func describe(bi *debug.BuildInfo, ok bool) (version, revision string) {
 	if !ok {
-		return "unknown"
+		return "devel", "unknown"
 	}
-	var rev, modified string
+	var rev, dirty string
 	for _, s := range bi.Settings {
 		switch s.Key {
 		case "vcs.revision":
 			rev = s.Value
 		case "vcs.modified":
 			if s.Value == "true" {
-				modified = "+dirty"
+				dirty = "+dirty"
 			}
 		}
 	}
-	if rev == "" {
-		return "unknown"
+	version, revision = "devel", "unknown"
+	if rev != "" {
+		version, revision = rev[:min(len(rev), 12)]+dirty, rev+dirty
 	}
-	return rev + modified
+	if v := bi.Main.Version; v != "" && v != "(devel)" {
+		version = v
+	}
+	return version, revision
 }
 
 // String renders the one-line -version output for a named tool.
@@ -81,19 +66,4 @@ func String(tool string) string {
 // returns the value to check after parsing.
 func Flag(fs *flag.FlagSet) *bool {
 	return fs.Bool("version", false, "print version and exit")
-}
-
-// Hash returns a short stable digest of v's JSON encoding — the
-// config-hash the results store keys records on. encoding/json writes
-// struct fields in declaration order and sorts map keys, so the digest
-// is deterministic for a given value. v must be JSON-encodable; Hash
-// panics otherwise (a config that cannot be hashed is a programming
-// error, not an input error).
-func Hash(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("buildinfo: unhashable config: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
 }

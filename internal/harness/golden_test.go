@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -66,9 +67,15 @@ func checkGolden(t *testing.T, s *Suite, e Experiment) []string {
 	if err != nil {
 		t.Fatalf("%s: %v", e.ID, err)
 	}
-	r := Result{Experiment: e, Tables: tables}
-	names := make([]string, len(tables))
-	for i, tb := range tables {
+	return diffGolden(t, Result{Experiment: e, Tables: tables})
+}
+
+// diffGolden diffs each of r's tables byte-for-byte against results/
+// and returns the tables' CSV file names.
+func diffGolden(t *testing.T, r Result) []string {
+	t.Helper()
+	names := make([]string, len(r.Tables))
+	for i, tb := range r.Tables {
 		name := r.TableName(i) + ".csv"
 		names[i] = name
 		got, err := os.ReadFile(filepath.Join(resultsDir, name))
@@ -81,4 +88,46 @@ func checkGolden(t *testing.T, s *Suite, e Experiment) []string {
 		}
 	}
 	return names
+}
+
+// TestQuickGoldenCSVs runs, on a fresh suite built under the quick
+// config, every experiment whose quick run keeps all its variants and
+// tables, and diffs its output byte-for-byte against the committed
+// full-mode results/*.csv. Quick mode may only drop sweep points: if it
+// changed anything else a kept cell depends on (the step limit, the
+// workload set, the suite's preparation), these experiments would
+// render differently from their full runs.
+func TestQuickGoldenCSVs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick experiment suite in -short mode")
+	}
+	if _, err := os.Stat(resultsDir); err != nil {
+		t.Skipf("no results directory: %v", err)
+	}
+
+	var exps []Experiment
+	for _, e := range All() {
+		if quickUntrimmed(e) {
+			exps = append(exps, e)
+		}
+	}
+	if !slices.ContainsFunc(exps, func(e Experiment) bool { return e.ID == "E5" }) {
+		t.Fatalf("E5 is trimmed in quick mode; untrimmed set: %s", ids(exps))
+	}
+	res, err := RunSelected(context.Background(), Config{Quick: true}, exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		t.Run(r.Experiment.ID, func(t *testing.T) { diffGolden(t, r) })
+	}
+}
+
+// quickUntrimmed reports whether a quick run of e evaluates every
+// declared variant and renders every declared table.
+func quickUntrimmed(e Experiment) bool {
+	if len(e.ActiveVariants(Config{Quick: true})) != len(e.Variants) {
+		return false
+	}
+	return !slices.ContainsFunc(e.Tables, func(ts TableSpec) bool { return ts.FullOnly })
 }

@@ -15,16 +15,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/bpred"
-	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/ifconv"
 	"repro/internal/profile"
 	"repro/internal/prog"
 	"repro/internal/record"
-	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -308,23 +305,6 @@ func (s *Suite) trace(k recKey) (*trace.Trace, error) {
 	})
 }
 
-// ConfigHash identifies what this experiment would compute under cfg:
-// the experiment, the run bounds, the active variant grid and the
-// workload selection. Two runs with equal hashes answered the same
-// question; the results store keys records on it so `bpstats` can tell a
-// regression from a reconfiguration.
-func (ex Experiment) ConfigHash(cfg Config) string {
-	cfg = cfg.withDefaults()
-	return buildinfo.Hash(struct {
-		ID        string
-		Limit     uint64
-		Quick     bool
-		Workloads []string  `json:",omitempty"`
-		Variants  []Variant `json:",omitempty"`
-	}{ID: ex.ID, Limit: cfg.Limit, Quick: cfg.Quick,
-		Workloads: ex.Workloads, Variants: ex.ActiveVariants(cfg)})
-}
-
 var experiments []Experiment
 
 func registerExperiment(e Experiment) { experiments = append(experiments, e) }
@@ -385,9 +365,11 @@ func Select(expr string) ([]Experiment, error) {
 			continue
 		}
 		// Table name: an ID plus the letter suffix of a multi-table
-		// experiment's CSV file ("E2a" -> E2).
+		// experiment's CSV file ("E2a" -> E2). The letter must index one
+		// of the experiment's tables, so "E2d" and "E5z" stay unknown.
 		if n := len(tok); n > 1 && tok[n-1] >= 'a' && tok[n-1] <= 'z' {
-			if e, err := ByID(tok[:n-1]); err == nil {
+			e, err := ByID(tok[:n-1])
+			if i := int(tok[n-1] - 'a'); err == nil && len(e.Tables) > 1 && i < len(e.Tables) {
 				add(e)
 				continue
 			}
@@ -426,49 +408,21 @@ func Select(expr string) ([]Experiment, error) {
 	return out, nil
 }
 
-// Result pairs an experiment with its output tables and the wall time
-// the run took (the results store records it).
+// Result pairs an experiment with the tables one run of it produced.
 type Result struct {
 	Experiment Experiment
 	Tables     []*stats.Table
-	Wall       time.Duration
 }
 
 // TableName returns the base name of the i-th table's CSV file: the
 // experiment ID, with a letter suffix when the experiment emits several
-// tables ("E2" -> E2a, E2b, ...). cmd/experiments, the golden test, and
-// the results store all name tables through this one function.
+// tables ("E2" -> E2a, E2b, ...). cmd/experiments and the golden tests
+// name tables through this one function.
 func (r Result) TableName(i int) string {
 	if len(r.Tables) <= 1 {
 		return r.Experiment.ID
 	}
 	return r.Experiment.ID + string(rune('a'+i))
-}
-
-// Record converts the result into a results-store record for the given
-// run. The config hash ties the record to the exact grid that produced
-// it, so `bpstats diff` can refuse to compare unlike configurations.
-func (r Result) Record(runID string, at time.Time, cfg Config) results.Record {
-	cfg = cfg.withDefaults()
-	rec := results.Record{
-		RunID:      runID,
-		Time:       at.UTC().Format(time.RFC3339),
-		Version:    buildinfo.Version(),
-		Experiment: r.Experiment.ID,
-		ConfigHash: r.Experiment.ConfigHash(cfg),
-		Quick:      cfg.Quick,
-		Limit:      cfg.Limit,
-		WallMS:     float64(r.Wall) / float64(time.Millisecond),
-	}
-	for i, t := range r.Tables {
-		rec.Tables = append(rec.Tables, results.Table{
-			Name:    r.TableName(i),
-			Title:   t.Title,
-			Columns: t.Columns,
-			Rows:    t.Rows,
-		})
-	}
-	return rec
 }
 
 // RunAll builds the suite once and runs every experiment.
@@ -477,7 +431,7 @@ func RunAll(cfg Config) ([]Result, error) {
 }
 
 // RunSelected builds the suite once and runs the given experiments in
-// order, timing each.
+// order.
 func RunSelected(ctx context.Context, cfg Config, exps []Experiment) ([]Result, error) {
 	cfg = cfg.withDefaults()
 	s, err := NewSuiteContext(ctx, cfg)
@@ -486,12 +440,11 @@ func RunSelected(ctx context.Context, cfg Config, exps []Experiment) ([]Result, 
 	}
 	var out []Result
 	for _, e := range exps {
-		start := time.Now()
 		tables, err := e.Run(ctx, s, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", e.ID, err)
 		}
-		out = append(out, Result{Experiment: e, Tables: tables, Wall: time.Since(start)})
+		out = append(out, Result{Experiment: e, Tables: tables})
 	}
 	return out, nil
 }

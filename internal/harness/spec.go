@@ -4,8 +4,7 @@
 // per-group sweep rows, summary rows, paired orig-vs-converted columns).
 // One engine, Experiment.Run, executes every experiment on the sim sweep
 // pool and renders its stats.Tables deterministically — which is what
-// lets the golden CSV test pin every byte, and what makes an Experiment
-// the unit a results store can record and a remote executor can run.
+// lets the golden CSV tests pin every byte.
 package harness
 
 import (
@@ -246,8 +245,7 @@ type Experiment struct {
 }
 
 // ActiveVariants returns the variants a run with this config evaluates
-// (quick runs drop FullOnly variants). The active set is part of the
-// run's identity: it feeds Experiment.ConfigHash.
+// (quick runs drop FullOnly variants).
 func (ex Experiment) ActiveVariants(cfg Config) []Variant {
 	var out []Variant
 	for _, v := range ex.Variants {

@@ -43,12 +43,14 @@
 package snap
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/bpred"
-	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -102,7 +104,7 @@ type Restored struct {
 // embedded key, so state can never be restored into a session shape it
 // was not trained under. The Predictor field of cfg is ignored.
 func Key(spec sim.Spec, cfg core.EvalConfig) string {
-	return buildinfo.Hash(struct {
+	return digest(struct {
 		Spec          string
 		UseSFPF       bool
 		FilterTrue    bool
@@ -121,6 +123,20 @@ func Key(spec sim.Spec, cfg core.EvalConfig) string {
 		PGUDelay:      cfg.PGUDelay,
 		PerBranch:     cfg.PerBranch,
 	})
+}
+
+// digest returns a short stable digest of v's JSON encoding: the first
+// eight bytes of its SHA-256, hex-encoded. encoding/json writes struct
+// fields in declaration order, so the digest is deterministic for a
+// given value, and spill-file names and embedded keys depend on it
+// staying so. v must be JSON-encodable; digest panics otherwise.
+func digest(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("snap: unhashable config: %v", err))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
 }
 
 // Config-flag bits.
